@@ -3,13 +3,12 @@
 An elitist evolutionary search (non-dominated sorting plus crowding
 distance) minimizes (latency, allocated cores, energy). The archive keeps
 every feasible non-dominated mapping seen, not just the final population.
-Runs are deterministic for a given seed, independent of evaluator threads.
+Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -225,12 +224,6 @@ class ExploreResult:
     wallclock_s: float = 0.0
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("ISOEXPLORE_THREADS", "1"))
-    return max(1, threads)
-
-
 def explore(
     spec: ProblemSpec,
     mode: ExplorationMode = ExplorationMode.ISOLATION_AWARE,
@@ -242,8 +235,12 @@ def explore(
 ) -> ExploreResult:
     """Evolve mappings under one mode; returns the archive plus a trace of
     archive quality (eps against the final archive) per iteration."""
+    if population < 1:
+        raise DomainError(f"population must be >= 1, got {population}")
+    if iterations < 0:
+        raise DomainError(f"iterations must be >= 0, got {iterations}")
     rng = Random(derive_seed(seed, mode.value, "explore"))
-    workers = _thread_count(threads)
+    workers = max(1, threads or 1)
     started = time.perf_counter()
 
     def evaluate(genotypes: list[Genotype]) -> list[MappingResult]:
@@ -327,6 +324,8 @@ def compare_approaches(
 ) -> ComparisonResult:
     """Run all modes per repetition; score each archive against the
     repetition's union reference front with the eps indicator."""
+    if repetitions < 1:
+        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     modes = tuple(ExplorationMode)
     epsilon: dict[str, list[float]] = {m.value: [] for m in modes}
     fronts: dict[tuple[str, int], list[Vector]] = {}

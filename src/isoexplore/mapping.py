@@ -509,9 +509,11 @@ def from_bindings(
 
 def load_mapping_doc(spec: ProblemSpec, doc: dict) -> MappingResult:
     """Build from a mapping document: bindings plus optional flag maps."""
-    if not isinstance(doc, dict) or "bindings" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("bindings"), dict):
         raise ValidationError("mapping document needs a 'bindings' object")
-    flags = doc.get("core_flags", {})
-    cores = {c for c, v in flags.items() if v == "reserved"}
+    for key in ("core_flags", "tile_flags"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValidationError(f"mapping document field {key!r} must be an object")
+    cores = {c for c, v in doc.get("core_flags", {}).items() if v == "reserved"}
     tiles = {t for t, v in doc.get("tile_flags", {}).items() if v == "reserved"}
     return from_bindings(spec, doc["bindings"], cores, tiles)

@@ -408,30 +408,18 @@ def _ns_from_us(val: Any, what: str) -> int:
     return round(val * NS_PER_US)
 
 
-def _policy(obj: Any, path: str, *, unit: str, slot_required: bool = True) -> ArbitrationPolicy:
+def _policy(
+    obj: Any, path: str, *, suffix: str, slot_required: bool = True
+) -> ArbitrationPolicy:
+    """Policy whose time fields end in `suffix`: "_us" (converted to
+    nanoseconds), "_ns", or "" (nanoseconds implied, the NoC link)."""
     if not isinstance(obj, dict):
         raise SpecSyntaxError(f"expected a policy object{_ctx(path)}")
-    conv = _ns_from_us if unit == "us" else lambda v, w: _int(v, w)
+    conv = _ns_from_us if suffix == "_us" else _int
     slot = None
     if slot_required:
-        slot = conv(_req(obj, f"slot_len_{unit}", path), f"{path}.slot_len_{unit}")
-    delay = conv(_req(obj, f"arb_delay_{unit}", path), f"{path}.arb_delay_{unit}")
-    cap = _int(_req(obj, "capacity", path), f"{path}.capacity")
-    wc = _req(obj, "work_conserving", path)
-    if not isinstance(wc, bool):
-        raise SpecSyntaxError(f"{path}.work_conserving must be a boolean")
-    try:
-        return ArbitrationPolicy(slot, delay, cap, wc)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _bare_policy(obj: Any, path: str) -> ArbitrationPolicy:
-    """Policy with unsuffixed fields (nanoseconds implied): the NoC link."""
-    if not isinstance(obj, dict):
-        raise SpecSyntaxError(f"expected a policy object{_ctx(path)}")
-    slot = _int(_req(obj, "slot_len", path), f"{path}.slot_len")
-    delay = _int(_req(obj, "arb_delay", path), f"{path}.arb_delay")
+        slot = conv(_req(obj, f"slot_len{suffix}", path), f"{path}.slot_len{suffix}")
+    delay = conv(_req(obj, f"arb_delay{suffix}", path), f"{path}.arb_delay{suffix}")
     cap = _int(_req(obj, "capacity", path), f"{path}.capacity")
     wc = _req(obj, "work_conserving", path)
     if not isinstance(wc, bool):
@@ -532,8 +520,10 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
             _req(noc_raw, "router_delay_cycles", "architecture.noc"),
             "noc.router_delay_cycles",
         ),
-        link_policy=_bare_policy(
-            _req(noc_raw, "link_policy", "architecture.noc"), "architecture.noc.link_policy"
+        link_policy=_policy(
+            _req(noc_raw, "link_policy", "architecture.noc"),
+            "architecture.noc.link_policy",
+            suffix="",
         ),
         flit_payload_bytes=_int(
             _req(noc_raw, "flit_payload_bytes", "architecture.noc"), "noc.flit_payload_bytes"
@@ -558,7 +548,9 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
             raise SpecSyntaxError(f"{path}.pos must be [x, y]")
         traw = types[type_name]
         tpath = f"architecture.tile_types[{type_name}]"
-        core_policy = _policy(_req(traw, "core_policy", tpath), f"{tpath}.core_policy", unit="us")
+        core_policy = _policy(
+            _req(traw, "core_policy", tpath), f"{tpath}.core_policy", suffix="_us"
+        )
         n_cores = _int(_req(traw, "cores", tpath), f"{tpath}.cores")
         if n_cores < 1:
             raise ValidationError(f"{tpath}: cores must be >= 1")
@@ -586,18 +578,18 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
                 ),
                 memories=tuple(memories),
                 bus_policy=_policy(
-                    _req(traw, "bus_policy", tpath), f"{tpath}.bus_policy", unit="ns"
+                    _req(traw, "bus_policy", tpath), f"{tpath}.bus_policy", suffix="_ns"
                 ),
                 bus_master_weight=_int(
                     traw.get("bus_master_weight", 1), f"{tpath}.bus_master_weight"
                 ),
                 tx_policy=_policy(
                     _req(na_raw, "tx", f"{tpath}.na"), f"{tpath}.na.tx",
-                    unit="ns", slot_required=False,
+                    suffix="_ns", slot_required=False,
                 ),
                 rx_policy=_policy(
                     _req(na_raw, "rx", f"{tpath}.na"), f"{tpath}.na.rx",
-                    unit="ns", slot_required=False,
+                    suffix="_ns", slot_required=False,
                 ),
             )
         )

@@ -152,6 +152,18 @@ def test_explore_without_feasible_mapping_exits_4(hopeless_spec_path, capsys):
     assert "no feasible mapping" in capsys.readouterr().err
 
 
+def test_explore_rejects_zero_population(spec_path, capsys):
+    code = main(["explore", "--spec", str(spec_path), "--population", "0"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_explore_rejects_negative_iterations(spec_path, capsys):
+    code = main(["explore", "--spec", str(spec_path), "--iterations", "-1"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- compare
 
 
@@ -174,6 +186,12 @@ def test_compare_writes_tables(spec_path, tmp_path, capsys):
     fronts = json.loads((out / "fronts.json").read_text())
     assert "IsolationAware/rep0" in fronts["fronts"]
     assert set(fronts["references"]) == {"0", "1"}
+
+
+def test_compare_rejects_zero_reps(spec_path, capsys):
+    code = main(["compare", "--spec", str(spec_path), "--reps", "0"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- validate
@@ -257,11 +275,23 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
                  "--mapping", str(tmp_path / "absent2.json")]) == 2
 
 
-def test_malformed_mapping_exits_2(spec_path, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"bindings": ["t0", "t1", "t2"]}',
+        '{"bindings": {}, "core_flags": []}',
+        '{"bindings": {}, "tile_flags": []}',
+    ],
+    ids=["not-json", "bindings-array", "core-flags-array", "tile-flags-array"],
+)
+def test_malformed_mapping_exits_2(spec_path, tmp_path, capsys, command, text):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    assert main(["analyze", "--spec", str(spec_path),
-                 "--mapping", str(bad)]) == 2
+    bad.write_text(text)
+    assert main([command, "--spec", str(spec_path), "--mapping", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):

@@ -169,12 +169,8 @@ def test_explore_is_deterministic(two_tile_spec):
     )
 
 
-def test_explore_ignores_thread_count(two_tile_spec, monkeypatch):
-    monkeypatch.delenv("ISOEXPLORE_THREADS", raising=False)
+def test_explore_ignores_thread_count(two_tile_spec):
     a = explore(two_tile_spec, seed=3, **BUDGET)
-    monkeypatch.setenv("ISOEXPLORE_THREADS", "4")
-    b = explore(two_tile_spec, seed=3, **BUDGET)
-    assert a.archive.vectors() == b.archive.vectors()
     c = explore(two_tile_spec, seed=3, threads=3, **BUDGET)
     assert c.archive.vectors() == a.archive.vectors()
 

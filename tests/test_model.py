@@ -193,6 +193,11 @@ def test_rejects_wrong_types():
     doc = mutated(lambda d: d["architecture"].update({"mesh": [2]}))
     with pytest.raises(SpecSyntaxError, match="mesh"):
         parse(doc)
+    doc = mutated(
+        lambda d: d["architecture"]["noc"]["link_policy"].update({"slot_len": 1.5})
+    )
+    with pytest.raises(SpecSyntaxError, match="link_policy.slot_len"):
+        parse(doc)
 
 
 # --------------------------------------------------------- validation errors
@@ -212,6 +217,7 @@ def test_rejects_wrong_types():
         (lambda d: d["architecture"]["tiles"][1].update({"pos": [5, 0]}), "outside mesh"),
         (lambda d: d["architecture"]["tiles"][1].update({"id": "t0"}), "duplicate tile"),
         (lambda d: d["architecture"]["tiles"][1].update({"type": "huge"}), "unknown tile type"),
+        (lambda d: d["architecture"]["noc"]["link_policy"].update({"capacity": 0}), "link_policy"),
         (lambda d: d["mapping_edges"].append({"task": "zz", "core": "t0.c0"}), "unknown task"),
         (lambda d: d["mapping_edges"].append({"task": "a", "core": "t9.c0"}), "unknown core"),
         (lambda d: d["mapping_edges"].append({"task": "a", "core": "t0.c0"}), "duplicate mapping"),

@@ -239,6 +239,8 @@ def explore(
         raise DomainError(f"population must be >= 1, got {population}")
     if iterations < 0:
         raise DomainError(f"iterations must be >= 0, got {iterations}")
+    if offspring < 1:
+        raise DomainError(f"offspring must be >= 1, got {offspring}")
     rng = Random(derive_seed(seed, mode.value, "explore"))
     workers = max(1, threads or 1)
     started = time.perf_counter()

@@ -431,7 +431,7 @@ def _build(
         result.transfer_parts[inst.key] = parts
         result.transfer_wctt[inst.key] = sum(parts)
 
-    result.makespan = timing.makespan(spec.paths, result.task_wcrt, result.transfer_wctt)
+    result.makespan = timing.makespan(app, result.task_wcrt, result.transfer_wctt)
     result.throughput = timing.throughput(result.task_wcrt, result.transfer_wctt)
 
     usage = resource_usage(spec, bindings, reserved_tiles, reserved_cores, task_weights)

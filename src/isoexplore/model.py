@@ -13,7 +13,9 @@ is integer nanoseconds so ceiling arithmetic is exact.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -102,7 +104,7 @@ class ApplicationGraph:
                     )
             if len(set(m.consumers)) != len(m.consumers):
                 raise ValidationError(f"message {m.id}: duplicate consumer")
-        end_to_end_paths(self)  # raises CycleError on cycles
+        self.topo_order  # raises CycleError on cycles
 
     def task(self, task_id: str) -> Task:
         return self._tasks_by_id[task_id]
@@ -134,6 +136,35 @@ class ApplicationGraph:
             for c in m.consumers:
                 inc[c].append(m)
         return {k: tuple(v) for k, v in inc.items()}
+
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """Task ids in topological order (Kahn's algorithm); among ready
+        tasks the earliest declared comes first."""
+        index = {t.id: i for i, t in enumerate(self.tasks)}
+        waiting = [len(self.inputs_of[t.id]) for t in self.tasks]
+        ready = [i for i, n in enumerate(waiting) if n == 0]
+        if not ready:
+            raise CycleError("application graph has no source task (cycle)")
+        order: list[str] = []
+        while ready:
+            tid = self.tasks[heapq.heappop(ready)].id
+            order.append(tid)
+            for m in self.outputs_of[tid]:
+                for c in m.consumers:
+                    waiting[index[c]] -= 1
+                    if waiting[index[c]] == 0:
+                        heapq.heappush(ready, index[c])
+        if len(order) < len(self.tasks):
+            # Every unordered task has an unordered producer; walking back
+            # through those producers must revisit a task on a cycle.
+            seen: set[str] = set()
+            tid = next(t.id for t, n in zip(self.tasks, waiting) if n)
+            while tid not in seen:
+                seen.add(tid)
+                tid = next(m.src for m in self.inputs_of[tid] if waiting[index[m.src]])
+            raise CycleError(f"application graph has a cycle through {tid!r}")
+        return tuple(order)
 
 
 def end_to_end_paths(app: ApplicationGraph) -> tuple[tuple[str, ...], ...]:
@@ -369,10 +400,6 @@ class ProblemSpec:
             out[e.task].append(e.core)
         return {k: tuple(v) for k, v in out.items()}
 
-    @cached_property
-    def paths(self) -> tuple[tuple[str, ...], ...]:
-        return end_to_end_paths(self.application)
-
 
 # ------------------------------------------------------------ parse and emit
 
@@ -405,7 +432,10 @@ def _int(val: Any, what: str) -> int:
 def _ns_from_us(val: Any, what: str) -> int:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SpecSyntaxError(f"{what} must be a number, got {val!r}")
-    return round(val * NS_PER_US)
+    ns = val * NS_PER_US
+    if isinstance(ns, float) and not math.isfinite(ns):
+        raise SpecSyntaxError(f"{what} must be a finite number, got {val!r}")
+    return round(ns)
 
 
 def _policy(

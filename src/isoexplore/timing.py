@@ -12,11 +12,14 @@ All values are integer nanoseconds; every ceiling is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import kernels
 from .arbitration import ArbitrationTuple
 from .errors import EmptyGraph
+
+if TYPE_CHECKING:
+    from .model import ApplicationGraph
 
 
 @dataclass(frozen=True)
@@ -164,32 +167,27 @@ def wctt(inputs: MessageTimingInputs) -> int:
 
 
 def makespan(
-    paths: tuple[tuple[str, ...], ...],
+    app: ApplicationGraph,
     task_response_times: Mapping[str, int],
     message_traversal_times: Mapping[str, int] | Mapping[tuple[str, str], int],
 ) -> int:
     """Longest end-to-end chain: response times plus traversal times.
 
-    Paths alternate task and message ids. Message entries are looked up by
-    (message id, next task id) first so per-consumer traversals can differ,
+    One longest-path pass over the tasks in topological order:
+    finish(t) = wcrt(t) + max over input messages m of
+    (finish(m.src) + traversal of m to t). A traversal is looked up by
+    (message id, consumer id) first so per-consumer traversals can differ,
     then by message id alone; local messages may simply be absent (0).
     """
-    if not paths:
-        raise EmptyGraph("makespan needs at least one end-to-end path")
-    best = 0
-    for path in paths:
-        total = 0
-        for i, node in enumerate(path):
-            if node in task_response_times:
-                total += task_response_times[node]
-            else:
-                nxt = path[i + 1] if i + 1 < len(path) else None
-                if (node, nxt) in message_traversal_times:
-                    total += message_traversal_times[(node, nxt)]
-                else:
-                    total += message_traversal_times.get(node, 0)
-        best = max(best, total)
-    return best
+    finish: dict[str, int] = {}
+    for t in app.topo_order:
+        arrival = 0
+        for m in app.inputs_of[t]:
+            wctt_m = message_traversal_times.get(
+                (m.id, t), message_traversal_times.get(m.id, 0))
+            arrival = max(arrival, finish[m.src] + wctt_m)
+        finish[t] = task_response_times[t] + arrival
+    return max(finish.values())
 
 
 def throughput(

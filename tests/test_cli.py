@@ -6,7 +6,8 @@ import json
 import pytest
 
 from isoexplore.cli import main
-from isoexplore.model import parse_spec
+from isoexplore.generator import generate_spec
+from isoexplore.model import emit_spec, parse_spec
 
 from conftest import bundled_text
 
@@ -164,6 +165,33 @@ def test_explore_rejects_negative_iterations(spec_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offspring", ["0", "-3"])
+def test_explore_rejects_zero_offspring(spec_path, tmp_path, capsys, offspring):
+    code = main(["explore", "--spec", str(spec_path), "--offspring", offspring,
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "offspring" in err and "Traceback" not in err
+
+
+def test_explore_long_chain_exits_cleanly(tmp_path, capsys):
+    # 1,500 tasks wired into one chain: deeper than Python's recursion limit.
+    doc = json.loads(emit_spec(generate_spec("consumer", (2, 2), 0,
+                                             tasks=1_500, messages=0)))
+    ids = [t["id"] for t in doc["application"]["tasks"]]
+    doc["application"]["messages"] = [
+        {"id": f"m{i}", "src": a, "dst": b, "period_us": 8_000,
+         "payload_bytes": 64, "mem_demand": 4}
+        for i, (a, b) in enumerate(zip(ids, ids[1:]))
+    ]
+    spec_file = tmp_path / "chain.json"
+    spec_file.write_text(json.dumps(doc))
+    code = main(["explore", "--spec", str(spec_file), "--population", "1",
+                 "--iterations", "0", "--out-dir", str(tmp_path / "run")])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- compare
 
 
@@ -292,6 +320,24 @@ def test_malformed_mapping_exits_2(spec_path, tmp_path, capsys, command, text):
     assert main([command, "--spec", str(spec_path), "--mapping", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["period_us", "wcet_us"])
+def test_non_finite_time_exits_2(spec_path, mapping_path, tmp_path, capsys,
+                                 field, value):
+    doc = json.loads(spec_path.read_text())
+    task = doc["application"]["tasks"][0]
+    if field == "period_us":
+        task["period_us"] = float(value)
+    else:
+        task["wcet_us"][next(iter(task["wcet_us"]))] = float(value)
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(doc))                  # writes NaN / Infinity
+    assert value in bad.read_text()
+    assert main(["analyze", "--spec", str(bad), "--mapping", str(mapping_path)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):

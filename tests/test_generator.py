@@ -4,7 +4,7 @@ import pytest
 
 from isoexplore.errors import DomainError
 from isoexplore.generator import PROFILES, make_architecture, generate_spec
-from isoexplore.model import emit_spec, parse_spec
+from isoexplore.model import emit_spec, end_to_end_paths, parse_spec
 from isoexplore.simoracle import _check_platform
 
 
@@ -33,7 +33,7 @@ def test_size_overrides():
     assert len(spec.application.tasks) == 3
     assert len(spec.application.messages) == 2
     lone = generate_spec("consumer", mesh=(1, 1), seed=0, tasks=1, messages=0)
-    assert lone.paths == (("t00",),)
+    assert end_to_end_paths(lone.application) == (("t00",),)
 
 
 # ------------------------------------------------------------------ validation
@@ -112,7 +112,7 @@ def test_graph_is_forward_wired():
     order = {t.id: i for i, t in enumerate(spec.application.tasks)}
     for m in spec.application.messages:
         assert order[m.src] < order[m.dst]
-    assert spec.paths                                # acyclic by construction
+    assert end_to_end_paths(spec.application)       # acyclic by construction
 
 
 def test_every_task_may_land_on_every_core():

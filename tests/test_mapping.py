@@ -20,7 +20,8 @@ from isoexplore.mapping import (
     route_instances,
     xy_route,
 )
-from isoexplore.model import parse_spec
+from isoexplore.generator import generate_spec
+from isoexplore.model import emit_spec, parse_spec
 
 from conftest import bundled_text
 
@@ -274,3 +275,17 @@ def test_infeasible_binding_reports_reason(two_tile_spec):
     assert res.objectives is None
     doc = res.to_doc()
     assert doc["feasible"] is False and "reason" in doc
+
+
+def test_complete_dag_decodes():
+    # 30 tasks and every forward pair wired: 2**28 end-to-end chains.
+    doc = json.loads(emit_spec(generate_spec("telecom", (1, 1), 0,
+                                             tasks=30, messages=435)))
+    for node in (*doc["application"]["tasks"], *doc["application"]["messages"]):
+        node["period_us"] *= 2                 # room for eight tasks per core
+    spec = parse_spec(json.dumps(doc))
+    cores = spec.architecture.tiles[0].cores
+    res = from_bindings(spec, {t.id: cores[k % len(cores)].id
+                               for k, t in enumerate(spec.application.tasks)})
+    assert res.feasible and not res.transfer_wctt        # every transfer is local
+    assert res.makespan == sum(res.task_wcrt.values())   # the chain through all

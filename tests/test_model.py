@@ -318,6 +318,30 @@ def test_cycle_is_rejected():
         end_to_end_paths(app)
 
 
+def test_topo_order_takes_earliest_declared_ready_task():
+    app = ApplicationGraph(
+        tasks=(task("d"), task("a"), task("b"), task("c")),
+        messages=(msg("m1", "a", "d"), msg("m2", "b", "c")),
+    )
+    assert app.topo_order == ("a", "d", "b", "c")
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [
+        [("m1", "s", "b"), ("m2", "b", "c"), ("m3", "c", "b"), ("m4", "c", "e")],
+        [("m2", "b", "c"), ("m3", "c", "b", "e")],       # s cannot reach it
+    ],
+    ids=["behind-a-source", "unreachable"],
+)
+def test_cycle_error_names_a_task_on_the_cycle(wires):
+    with pytest.raises(CycleError, match="cycle through '[bc]'"):
+        ApplicationGraph(
+            tasks=(task("s"), task("b"), task("c"), task("e")),
+            messages=tuple(msg(mid, src, dst, extras) for mid, src, dst, *extras in wires),
+        )
+
+
 def test_self_loop_is_rejected_at_message_level():
     with pytest.raises(ValidationError):
         msg("m", "a", "a")

@@ -10,10 +10,12 @@ from math import ceil
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoexplore import timing
 from isoexplore.arbitration import ArbitrationTuple
 from isoexplore.errors import EmptyGraph
+from isoexplore.model import ApplicationGraph, Message, Task, end_to_end_paths
 from isoexplore.timing import (
     BusAccess,
     MessageTimingInputs,
@@ -184,31 +186,43 @@ def test_message_inputs_validation():
 # -------------------------------------------------------------- composition
 
 
+def graph(tasks, messages=()) -> ApplicationGraph:
+    """Tasks by id; messages as (id, src, consumers...)."""
+    return ApplicationGraph(
+        tasks=tuple(Task(t, 1_000, {"gp": 10}, 1) for t in tasks),
+        messages=tuple(
+            Message(mid, src, dst, 1_000, 16, 1, tuple(extras))
+            for mid, src, dst, *extras in messages
+        ),
+    )
+
+
 def test_makespan_single_task():
-    assert makespan((("a",),), {"a": 380}, {}) == 380
+    assert makespan(graph("a"), {"a": 380}, {}) == 380
     assert throughput({"a": 380}, {}) == pytest.approx(1 / 380)
 
 
 def test_makespan_parallel_chains():
-    paths = (("a", "m1", "b"), ("c", "m2", "d"))
+    app = graph("abcd", [("m1", "a", "b"), ("m2", "c", "d")])
     tasks = {"a": 100, "b": 200, "c": 250, "d": 250}
     msgs = {"m1": 30, "m2": 25}
-    assert makespan(paths, tasks, msgs) == 525
-    assert makespan((("a", "m1", "b"),), tasks, msgs) == 330
+    assert makespan(app, tasks, msgs) == 525
+    chain = graph("ab", [("m1", "a", "b")])
+    assert makespan(chain, {"a": 100, "b": 200}, msgs) == 330
 
 
 def test_makespan_join_chain():
     # Two producers into one consumer; the local edge contributes nothing.
-    paths = (("t0", "m0", "t2"), ("t1", "m1", "t2"))
+    app = graph(["t0", "t1", "t2"], [("m0", "t0", "t2"), ("m1", "t1", "t2")])
     tasks = {"t0": 290, "t1": 75, "t2": 105}
     msgs = {("m1", "t2"): 12}                # m0 is tile-local: absent
-    assert makespan(paths, tasks, msgs) == max(290 + 105, 75 + 12 + 105)
-    assert makespan(paths, tasks, msgs) == 395
+    assert makespan(app, tasks, msgs) == max(290 + 105, 75 + 12 + 105)
+    assert makespan(app, tasks, msgs) == 395
 
 
 def test_makespan_prefers_per_consumer_entries():
-    paths = (("a", "m", "b"),)
-    assert makespan(paths, {"a": 1, "b": 1}, {("m", "b"): 10, "m": 99}) == 12
+    app = graph("ab", [("m", "a", "b")])
+    assert makespan(app, {"a": 1, "b": 1}, {("m", "b"): 10, "m": 99}) == 12
 
 
 def test_throughput_is_reciprocal_of_slowest_stage():
@@ -218,9 +232,68 @@ def test_throughput_is_reciprocal_of_slowest_stage():
 
 def test_empty_composition_errors():
     with pytest.raises(EmptyGraph):
-        makespan((), {}, {})
+        graph(())
     with pytest.raises(EmptyGraph):
         throughput({}, {})
+
+
+# ------------------------------------------ longest path against enumeration
+
+
+def chain_total(path, tasks, msgs) -> int:
+    """One enumerated chain summed by the lookup rule: a message costs its
+    (message, next task) entry, else its message-id entry, else 0."""
+    total = 0
+    for i, node in enumerate(path):
+        if node in tasks:
+            total += tasks[node]
+        elif (node, path[i + 1]) in msgs:
+            total += msgs[(node, path[i + 1])]
+        else:
+            total += msgs.get(node, 0)
+    return total
+
+
+@st.composite
+def timed_dags(draw):
+    """A DAG of up to 8 tasks, declared out of topological order, with
+    response times and a traversal map mixing per-consumer entries,
+    message-id entries and absent (local) ones."""
+    n = draw(st.integers(1, 8))
+    names = draw(st.permutations([f"t{i}" for i in range(n)]))
+    cost = st.integers(0, 1_000)
+    messages, msgs = [], {}
+    for k in range(draw(st.integers(0, 12)) if n > 1 else 0):
+        i = draw(st.integers(0, n - 2))
+        consumers = draw(st.lists(st.sampled_from(names[i + 1:]), min_size=1,
+                                  max_size=3, unique=True))
+        mid = f"m{k}"
+        messages.append((mid, names[i], *consumers))
+        if draw(st.booleans()):
+            msgs[mid] = draw(cost)
+        for c in consumers:
+            if draw(st.booleans()):
+                msgs[(mid, c)] = draw(cost)
+    tasks = {t: draw(cost) for t in names}
+    declared = draw(st.permutations(names))
+    return graph(declared, messages), tasks, msgs
+
+
+@settings(max_examples=300, deadline=None)
+@given(timed_dags())
+def test_makespan_equals_longest_enumerated_chain(case):
+    app, tasks, msgs = case
+    expected = max(chain_total(p, tasks, msgs) for p in end_to_end_paths(app))
+    assert makespan(app, tasks, msgs) == expected
+
+
+def test_long_chain_builds_and_composes():
+    ids = [f"t{i}" for i in range(5_000)]
+    wires = [(f"m{i}", a, b) for i, (a, b) in enumerate(zip(ids, ids[1:]))]
+    app = graph(ids, wires)
+    assert app.topo_order == tuple(ids)
+    msgs = {mid: 1 for mid, _, _ in wires}
+    assert makespan(app, dict.fromkeys(ids, 2), msgs) == 2 * 5_000 + 4_999
 
 
 # ------------------------------------------------- randomized monotonicities

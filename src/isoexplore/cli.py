@@ -24,6 +24,7 @@ from .errors import (
     Infeasible,
     MissingCoefficient,
     NoFeasibleMapping,
+    SimHorizonExceeded,
     SpecError,
 )
 from .generator import PROFILES, generate_spec
@@ -358,7 +359,8 @@ def main(argv=None) -> int:
     except NoFeasibleMapping as exc:
         print(f"no feasible mapping: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    except (SpecError, DomainError, CapacityError, Infeasible, MissingCoefficient) as exc:
+    except (SpecError, DomainError, CapacityError, Infeasible, MissingCoefficient,
+            SimHorizonExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError) as exc:

@@ -387,46 +387,23 @@ def _build(
 
     for t in app.tasks:
         core = arch.core(bindings[t.id])
-        tile = arch.tile(core.tile_id)
-        inputs = timing.TaskTimingInputs(
-            wcet=t.wcet[core.core_type],
-            core_tuple=tuples.core[t.id],
-            accesses=(
-                timing.BusAccess(
-                    eff_md[t.id], tile.memory.service_time, tuples.core_bus[core.id]
-                ),
-            ),
+        parts = timing.wcrt(
+            t.wcet[core.core_type], eff_md[t.id],
+            arch.tile(core.tile_id).memory.service_time,
+            tuples.core_bus[core.id], tuples.core[t.id],
         )
-        result.task_wcrt[t.id] = timing.wcrt(inputs)
-        result.task_parts[t.id] = (
-            inputs.wcet,
-            eff_md[t.id] * tile.memory.service_time,
-            timing.bus_interference(inputs),
-            timing.core_preemption(inputs),
-        )
+        result.task_parts[t.id] = parts
+        result.task_wcrt[t.id] = sum(parts)
 
+    noc = arch.noc
     for inst in instances:
         m = inst.message
-        src_tile = arch.tile(inst.src_tile)
-        dst_tile = arch.tile(inst.dst_tile)
-        inputs = timing.MessageTimingInputs(
-            mem_demand=m.mem_demand,
-            flits=arch.noc.flits_for(m.payload_bytes),
-            hops=inst.hops,
-            router_delay=arch.noc.router_delay,
-            tau=arch.noc.tau,
-            src_service_time=src_tile.memory.service_time,
-            src_bus_tuple=tuples.tx_bus[inst.src_tile],
-            tx_tuple=tuples.tx[inst.key],
-            route_tuple=tuples.route[inst.key],
-            dst_service_time=dst_tile.memory.service_time,
-            dst_bus_tuple=tuples.rx_bus[inst.dst_tile],
-            rx_tuple=tuples.rx[inst.key],
-        )
-        parts = (
-            timing.tx_latency(inputs),
-            timing.noc_latency(inputs),
-            timing.rx_latency(inputs),
+        parts = timing.wctt(
+            m.mem_demand, noc.flits_for(m.payload_bytes), inst.hops, noc.router_delay,
+            arch.tile(inst.src_tile).memory.service_time,
+            tuples.tx_bus[inst.src_tile], tuples.tx[inst.key], tuples.route[inst.key],
+            arch.tile(inst.dst_tile).memory.service_time,
+            tuples.rx_bus[inst.dst_tile], tuples.rx[inst.key],
         )
         result.transfer_parts[inst.key] = parts
         result.transfer_wctt[inst.key] = sum(parts)

@@ -255,6 +255,11 @@ class Tile:
                 f"tile {self.id}: bus capacity {self.bus_policy.capacity} does not "
                 f"cover its masters (cores + TX + RX = {expected} slots)"
             )
+        if self.bus_policy.slot_len < self.memory.service_time:
+            raise ValidationError(
+                f"tile {self.id}: bus slot_len {self.bus_policy.slot_len} is shorter "
+                f"than the memory service time {self.memory.service_time}"
+            )
 
     @property
     def memory(self) -> Memory:
@@ -389,7 +394,7 @@ class ProblemSpec:
                     f"(mapping edge to {edge.core})"
                 )
         for t in app.tasks:
-            if not any(e.task == t.id for e in self.mapping_edges):
+            if not self.edges_of[t.id]:
                 raise ValidationError(f"task {t.id}: has no mapping edges")
 
     @cached_property

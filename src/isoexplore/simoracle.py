@@ -129,7 +129,7 @@ class _Engine:
             self.now = t
             self.count += 1
             if self.count > self.cap:
-                raise SimHorizonExceeded(f"more than {self.cap} events")
+                raise SimHorizonExceeded(f"simulation needs more than {self.cap} events")
             fn(t)
 
 
@@ -416,7 +416,7 @@ class _Sim:
             return False
         return self.rng.random() < 0.7
 
-    def _fill(self, slots: list[str], capacity: int) -> list[str]:
+    def _fill(self, slots: list, capacity: int) -> list:
         free = capacity - len(slots)
         if free < 0:
             raise DomainError("slot table exceeds its arbiter capacity")
@@ -497,7 +497,7 @@ class _Sim:
                        if reserved and pol_u.work_conserving else pol_u.capacity)
                 slot = tuples.tx_bus[tile.id].period
                 unit.arbiter = _SlotArbiter(
-                    self.eng, self.rng, self._fill_flows(flows, cap),
+                    self.eng, self.rng, self._fill(flows, cap),
                     slot, pol_u.arb_delay, pol_u.work_conserving,
                     pending=lambda o, t, u=unit: bool(u.flows.get(o)),
                     grant=lambda o, s, e, u=unit, tid=tile.id: self._unit_grant(u, tid, o, s, e),
@@ -515,7 +515,7 @@ class _Sim:
                        if reserved and pol_u.work_conserving else pol_u.capacity)
                 slot = tuples.rx_bus[tile.id].period
                 unit.arbiter = _SlotArbiter(
-                    self.eng, self.rng, self._fill_flows(flows, cap),
+                    self.eng, self.rng, self._fill(flows, cap),
                     slot, pol_u.arb_delay, pol_u.work_conserving,
                     pending=lambda o, t, u=unit: bool(u.flows.get(o)),
                     grant=lambda o, s, e, u=unit, tid=tile.id: self._unit_grant(u, tid, o, s, e),
@@ -536,17 +536,11 @@ class _Sim:
                 )
         for link_id, flows in flows_on_link.items():
             self.links[link_id] = _LinkArbiter(
-                self.eng, self.rng, self._fill_flows(flows, lp.capacity),
+                self.eng, self.rng, self._fill(flows, lp.capacity),
                 self.tau, lp.work_conserving,
                 grant=lambda flit, t, lid=link_id: self._link_grant(lid, flit, t),
                 phantom_busy=self._phantom_busy,
             )
-
-    def _fill_flows(self, flows: list[InstanceKey], capacity: int) -> list:
-        free = capacity - len(flows)
-        if free < 0:
-            raise DomainError("flow table exceeds its arbiter capacity")
-        return flows + [f"{PHANTOM}{i}" for i in range(free)]
 
     # -- job lifecycle
 

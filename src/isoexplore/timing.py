@@ -1,17 +1,19 @@
 """Worst-case timing composition for tasks and routed messages.
 
-A task's response time is its execution time, plus memory service, plus the
-bus stalls those accesses can suffer, plus the core preemption the combined
-demand can suffer. A message traversal is three phases in sequence: the
-source adapter reads words over the source bus, the flits cross the routed
-links, the destination adapter writes words over the destination bus.
+Every bound is read straight off the service tuples that the isolation
+schemes leave. A task's response time is its execution time, plus memory
+service, plus the stall its accesses can suffer on the tile bus, plus the
+preemption the combined demand can suffer on its core: `wcrt` returns those
+four terms. A message traversal is three phases in sequence, returned by
+`wctt`: the source adapter reads words over the source bus, the flits cross
+the routed links, the destination adapter writes words over the
+destination bus.
 
 All values are integer nanoseconds; every ceiling is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from . import kernels
@@ -22,148 +24,78 @@ if TYPE_CHECKING:
     from .model import ApplicationGraph
 
 
-@dataclass(frozen=True)
-class BusAccess:
-    """One task's accesses to one memory over its bus."""
-
-    mem_demand: int
-    service_time: int
-    bus_tuple: ArbitrationTuple
-
-    def __post_init__(self):
-        if self.mem_demand < 0:
-            raise ValueError("mem_demand must be >= 0")
-        if self.mem_demand > 0 and self.service_time <= 0:
-            raise ValueError("service_time must be positive")
-        if self.mem_demand > 0 and self.bus_tuple.slot_len < self.service_time:
-            raise ValueError(
-                "bus slot shorter than the memory service time"
-            )
+def bus_interference(
+    wcet: int, mem_demand: int, service_time: int, bus: ArbitrationTuple
+) -> int:
+    """Worst-case stall of a task's accesses on its tile bus."""
+    slots = kernels.task_bus_slots(wcet, mem_demand, service_time, bus.slot_len)
+    return kernels.bus_stall(slots, bus.slot_len, bus.weight, bus.period)
 
 
-@dataclass(frozen=True)
-class TaskTimingInputs:
-    wcet: int
-    core_tuple: ArbitrationTuple
-    accesses: tuple[BusAccess, ...] = ()
-
-    def __post_init__(self):
-        if self.wcet <= 0:
-            raise ValueError("wcet must be positive")
+def core_preemption(demand: int, core: ArbitrationTuple) -> int:
+    """Worst-case preemption of a core demand (execution, memory service
+    and bus stall) on the task's core."""
+    return kernels.core_stall(demand, core.slot_len, core.weight, core.period)
 
 
-def bus_slots_needed(inputs: TaskTimingInputs, index: int = 0) -> int:
-    """Bus slots needed on the index-th accessed bus (0 when no demand)."""
-    acc = inputs.accesses[index]
-    return kernels.task_bus_slots(
-        inputs.wcet, acc.mem_demand, acc.service_time, acc.bus_tuple.slot_len
-    )
+def wcrt(
+    wcet: int,
+    mem_demand: int,
+    service_time: int,
+    bus: ArbitrationTuple,
+    core: ArbitrationTuple,
+) -> tuple[int, int, int, int]:
+    """Terms of one task's worst-case response time, which is their sum:
+    (wcet, memory service, bus stall, core preemption)."""
+    service = mem_demand * service_time
+    i_bus = bus_interference(wcet, mem_demand, service_time, bus)
+    return wcet, service, i_bus, core_preemption(wcet + service + i_bus, core)
 
 
-def bus_interference(inputs: TaskTimingInputs, index: int = 0) -> int:
-    """Worst-case stall on the index-th accessed bus."""
-    acc = inputs.accesses[index]
-    n = bus_slots_needed(inputs, index)
-    return kernels.bus_stall(
-        n, acc.bus_tuple.slot_len, acc.bus_tuple.weight, acc.bus_tuple.period
-    )
-
-
-def _demand(inputs: TaskTimingInputs) -> int:
-    """Core demand: execution plus per-bus service and stalls, accumulated."""
-    total = inputs.wcet
-    for i, acc in enumerate(inputs.accesses):
-        total += acc.mem_demand * acc.service_time
-        total += bus_interference(inputs, i)
-    return total
-
-
-def core_preemption(inputs: TaskTimingInputs) -> int:
-    """Worst-case preemption stall on the task's core."""
-    ct = inputs.core_tuple
-    return kernels.core_stall(_demand(inputs), ct.slot_len, ct.weight, ct.period)
-
-
-def wcrt(inputs: TaskTimingInputs) -> int:
-    """Worst-case response time of one task."""
-    return _demand(inputs) + core_preemption(inputs)
-
-
-@dataclass(frozen=True)
-class MessageTimingInputs:
-    mem_demand: int
-    flits: int
-    hops: int
-    router_delay: int
-    tau: int
-    src_service_time: int
-    src_bus_tuple: ArbitrationTuple   # the source TX as a bus master
-    tx_tuple: ArbitrationTuple        # the message on the source TX
-    route_tuple: ArbitrationTuple     # the message on every route link
-    dst_service_time: int
-    dst_bus_tuple: ArbitrationTuple   # the destination RX as a bus master
-    rx_tuple: ArbitrationTuple        # the message on the destination RX
-
-    def __post_init__(self):
-        if self.mem_demand <= 0:
-            raise ValueError("mem_demand must be positive")
-        if self.flits <= 0:
-            raise ValueError("flits must be positive")
-        if self.hops <= 0:
-            raise ValueError("hops must be positive")
-        if self.tau <= 0 or self.route_tuple.slot_len != self.tau:
-            raise ValueError("route slot length must equal tau")
-        # An adapter slot spans exactly one arbitration period of its bus.
-        if self.tx_tuple.slot_len != self.src_bus_tuple.period:
-            raise ValueError("tx slot length must equal the source bus period")
-        if self.rx_tuple.slot_len != self.dst_bus_tuple.period:
-            raise ValueError("rx slot length must equal the destination bus period")
-
-
-def tx_bus_slots(inputs: MessageTimingInputs) -> int:
-    """Source-bus slots needed to read the message out of memory."""
-    return kernels.msg_bus_slots(
-        inputs.mem_demand, inputs.src_bus_tuple.slot_len, inputs.src_service_time
-    )
-
-
-def rx_bus_slots(inputs: MessageTimingInputs) -> int:
-    """Destination-bus slots needed to write the message into memory."""
-    return kernels.msg_bus_slots(
-        inputs.mem_demand, inputs.dst_bus_tuple.slot_len, inputs.dst_service_time
-    )
-
-
-def tx_latency(inputs: MessageTimingInputs) -> int:
-    """Source phase: the TX reads the words and injects into the route."""
-    bt, ut = inputs.src_bus_tuple, inputs.tx_tuple
+def tx_latency(
+    mem_demand: int, service_time: int, bus: ArbitrationTuple, unit: ArbitrationTuple
+) -> int:
+    """One adapter phase: the adapter moves the words over its bus (as a
+    bus master with tuple `bus`), scheduled on its own unit (`unit`)."""
+    slots = kernels.msg_bus_slots(mem_demand, bus.slot_len, service_time)
     return kernels.adapter_latency(
-        inputs.mem_demand, inputs.src_service_time, tx_bus_slots(inputs),
-        bt.slot_len, bt.weight, bt.period, ut.slot_len, ut.weight, ut.period,
+        mem_demand, service_time, slots,
+        bus.slot_len, bus.weight, bus.period, unit.slot_len, unit.weight, unit.period,
     )
 
 
-def rx_latency(inputs: MessageTimingInputs) -> int:
-    """Destination phase: the RX writes the words into the target memory."""
-    bt, ut = inputs.dst_bus_tuple, inputs.rx_tuple
-    return kernels.adapter_latency(
-        inputs.mem_demand, inputs.dst_service_time, rx_bus_slots(inputs),
-        bt.slot_len, bt.weight, bt.period, ut.slot_len, ut.weight, ut.period,
-    )
+# The destination adapter writes with the same arithmetic as the source reads.
+rx_latency = tx_latency
 
 
-def noc_latency(inputs: MessageTimingInputs) -> int:
-    """Route phase: wormhole traversal over the reserved link slots."""
-    rt = inputs.route_tuple
+def noc_latency(flits: int, hops: int, router_delay: int, route: ArbitrationTuple) -> int:
+    """Route phase: wormhole traversal over the reserved link slots; a link
+    slot is one link cycle (tau)."""
     return kernels.route_latency(
-        inputs.flits, inputs.hops, inputs.router_delay, inputs.tau,
-        rt.weight, rt.period,
+        flits, hops, router_delay, route.slot_len, route.weight, route.period
     )
 
 
-def wctt(inputs: MessageTimingInputs) -> int:
-    """Worst-case traversal time of one routed message."""
-    return tx_latency(inputs) + noc_latency(inputs) + rx_latency(inputs)
+def wctt(
+    mem_demand: int,
+    flits: int,
+    hops: int,
+    router_delay: int,
+    src_service_time: int,
+    src_bus: ArbitrationTuple,
+    tx: ArbitrationTuple,
+    route: ArbitrationTuple,
+    dst_service_time: int,
+    dst_bus: ArbitrationTuple,
+    rx: ArbitrationTuple,
+) -> tuple[int, int, int]:
+    """Terms of one routed message's worst-case traversal time, which is
+    their sum: (source adapter, route, destination adapter)."""
+    return (
+        tx_latency(mem_demand, src_service_time, src_bus, tx),
+        noc_latency(flits, hops, router_delay, route),
+        rx_latency(mem_demand, dst_service_time, dst_bus, rx),
+    )
 
 
 def makespan(

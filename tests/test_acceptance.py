@@ -28,7 +28,7 @@ from isoexplore.scheduling import (
     min_task_weight,
 )
 from isoexplore.simoracle import adversarial_sweep
-from isoexplore.timing import MessageTimingInputs, wctt
+from isoexplore.timing import wctt
 
 from conftest import bundled_text
 
@@ -210,14 +210,13 @@ def test_criterion_4_assigned_weights_are_minimal():
         bus_s, bus_d = bus_master_tuple(src), bus_master_tuple(dst)
         cap_tx = src.tx_policy.capacity
         cap_rx = dst.rx_policy.capacity
-        return wctt(MessageTimingInputs(
-            mem_demand=md, flits=flits, hops=hops,
-            router_delay=noc.router_delay, tau=noc.tau,
-            src_service_time=src.memory.service_time, src_bus_tuple=bus_s,
-            tx_tuple=ArbitrationTuple(bus_s.period, w, cap_tx * bus_s.period),
-            route_tuple=make_tuple(noc.link_policy, w),
-            dst_service_time=dst.memory.service_time, dst_bus_tuple=bus_d,
-            rx_tuple=ArbitrationTuple(bus_d.period, w, cap_rx * bus_d.period),
+        return sum(wctt(
+            md, flits, hops, noc.router_delay,
+            src.memory.service_time, bus_s,
+            ArbitrationTuple(bus_s.period, w, cap_tx * bus_s.period),
+            make_tuple(noc.link_policy, w),
+            dst.memory.service_time, bus_d,
+            ArbitrationTuple(bus_d.period, w, cap_rx * bus_d.period),
         ))
 
     while msg_checks < 100:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from isoexplore import simoracle
 from isoexplore.cli import main
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
@@ -265,6 +266,19 @@ def test_validate_rejects_zero_trials(spec_path, mapping_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_sim_horizon_exceeded_exits_2(spec_path, mapping_path, monkeypatch,
+                                               capsys):
+    # A small event cap stands in for a long run (many jobs per task).
+    engine = simoracle._Engine
+    monkeypatch.setattr(simoracle, "_Engine", lambda cap: engine(100))
+    code = main(["validate", "--spec", str(spec_path),
+                 "--mapping", str(mapping_path), "--trials", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: simulation needs more than 100 events" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- generate
 
 
@@ -338,6 +352,20 @@ def test_non_finite_time_exits_2(spec_path, mapping_path, tmp_path, capsys,
     assert main(["analyze", "--spec", str(bad), "--mapping", str(mapping_path)]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "explore"])
+def test_bus_slot_shorter_than_service_time_exits_2(spec_path, mapping_path, tmp_path,
+                                                    capsys, command):
+    doc = json.loads(spec_path.read_text())
+    doc["architecture"]["tile_types"][0]["bus_policy"]["slot_len_ns"] = 50
+    bad = tmp_path / "short_slot.json"
+    bad.write_text(json.dumps(doc))
+    args = {"analyze": ["--mapping", str(mapping_path)],
+            "explore": ["--iterations", "1", "--population", "4", "--offspring", "2"]}
+    assert main([command, "--spec", str(bad), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert "shorter than the memory service time" in err and "Traceback" not in err
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):

@@ -4,7 +4,9 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isoexplore import kernels
 from isoexplore.errors import MissingCoefficient, ValidationError
 from isoexplore.mapping import (
     ExplorationMode,
@@ -81,6 +83,32 @@ def test_parts_always_sum_to_totals(two_tile_shared):
         assert sum(two_tile_shared.task_parts[t]) == total
     for key, total in two_tile_shared.transfer_wctt.items():
         assert sum(two_tile_shared.transfer_parts[key]) == total
+
+
+SPECS = {p: generate_spec(p, mesh=(4, 4), seed=1) for p in ("consumer", "networking")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), st.sampled_from(list(ExplorationMode)),
+       st.integers(0, 2**32))
+def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
+    spec = SPECS[profile]
+    arch = spec.architecture
+    res = decode(spec, random_genotype(spec, Random(seed)), mode)
+    if not res.feasible:
+        return
+    eff = effective_mem_demand(spec.application, res.bindings,
+                               lambda c: arch.tile_of_core(c).id)
+    for t in spec.application.tasks:
+        core = arch.core(res.bindings[t.id])
+        bus, ct = res.tuples.core_bus[core.id], res.tuples.core[t.id]
+        assert res.task_wcrt[t.id] == kernels.task_response(
+            t.wcet[core.core_type], eff[t.id], arch.tile(core.tile_id).memory.service_time,
+            bus.slot_len, bus.weight, bus.period, ct.slot_len, ct.weight, ct.period)
+        assert res.task_wcrt[t.id] == sum(res.task_parts[t.id])
+    assert res.transfer_wctt.keys() == {i.key for i in res.instances}
+    for key, total in res.transfer_wctt.items():
+        assert total == sum(res.transfer_parts[key])
 
 
 def test_throughput_matches_slowest_stage(two_tile_shared):

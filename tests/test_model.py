@@ -222,6 +222,16 @@ def test_rejects_wrong_types():
         (lambda d: d["mapping_edges"].append({"task": "a", "core": "t9.c0"}), "unknown core"),
         (lambda d: d["mapping_edges"].append({"task": "a", "core": "t0.c0"}), "duplicate mapping"),
         (lambda d: d["mapping_edges"].pop(), "no mapping edges"),
+        (lambda d: d["application"]["tasks"][0].update({"wcet_us": {"gp": 0}}),
+         "wcet for core type 'gp' must be positive"),
+        (lambda d: d["architecture"]["tile_types"][0]["memories"][0].update(
+            {"service_time_ns": 0}), "service time must be positive"),
+        (lambda d: d["architecture"]["tile_types"][0]["bus_policy"].update(
+            {"slot_len_ns": 4}), "shorter than the memory service time"),
+        (lambda d: d["application"]["messages"][0].update({"mem_demand": 0}),
+         "mem_demand must be positive"),
+        (lambda d: d["architecture"]["noc"]["link_policy"].update({"slot_len": 20}),
+         "must equal tau"),
     ],
 )
 def test_validation_errors(edit, hint):

@@ -151,18 +151,12 @@ def test_min_message_weight_is_minimal():
     w = min_message_weight(deadline, 6, flits, 2, src, dst, noc)
 
     def traversal(weight):
-        from isoexplore.timing import MessageTimingInputs, wctt
+        from isoexplore.timing import wctt
         from isoexplore.arbitration import make_tuple
         bus = bus_master_tuple(src)
-        unit_period = src.tx_policy.capacity * bus.period
-        return wctt(MessageTimingInputs(
-            mem_demand=6, flits=flits, hops=2, router_delay=1, tau=10,
-            src_service_time=5, src_bus_tuple=bus,
-            tx_tuple=ArbitrationTuple(bus.period, weight, unit_period),
-            route_tuple=make_tuple(noc.link_policy, weight),
-            dst_service_time=5, dst_bus_tuple=bus_master_tuple(dst),
-            rx_tuple=ArbitrationTuple(bus.period, weight, unit_period),
-        ))
+        unit = ArbitrationTuple(bus.period, weight, src.tx_policy.capacity * bus.period)
+        return sum(wctt(6, flits, 2, 1, 5, bus, unit, make_tuple(noc.link_policy, weight),
+                        5, bus_master_tuple(dst), unit))
 
     assert traversal(w) <= deadline
     if w > 1:

@@ -1,27 +1,21 @@
 """Golden values and invariants of the response/traversal composition.
 
 Every frozen number below was hand-derived from the closed forms before
-being asserted here; the randomized blocks re-derive the formulas with
-exact Fraction arithmetic.
+being asserted here; the randomized blocks check monotonicity in the wait
+times and the longest-path makespan against path enumeration.
 """
 
-from fractions import Fraction
-from math import ceil
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoexplore import timing
+from isoexplore import kernels
 from isoexplore.arbitration import ArbitrationTuple
 from isoexplore.errors import EmptyGraph
 from isoexplore.model import ApplicationGraph, Message, Task, end_to_end_paths
 from isoexplore.timing import (
-    BusAccess,
-    MessageTimingInputs,
-    TaskTimingInputs,
     bus_interference,
-    bus_slots_needed,
     core_preemption,
     makespan,
     noc_latency,
@@ -33,154 +27,88 @@ from isoexplore.timing import (
 )
 
 
-def ex(num, den) -> int:
-    return ceil(Fraction(num, den))
-
-
-# ------------------------------------------------------------- bus slots (N)
-
-
-def task_inputs(wcet, md, st, bus, core=ArbitrationTuple(1, 1, 1)):
-    acc = (BusAccess(md, st, bus),) if md else ()
-    return TaskTimingInputs(wcet=wcet, core_tuple=core, accesses=acc)
+# ----------------------------------------------------------------- tasks
 
 
 def test_task_bus_slots_golden():
-    t = task_inputs(100, 10, 2, ArbitrationTuple(50, 1, 300))
-    assert bus_slots_needed(t) == 3          # span-bound: ceil(120/50)
-    t = task_inputs(1000, 2, 1, ArbitrationTuple(10, 1, 60))
-    assert bus_slots_needed(t) == 2          # demand-bound: min{2, 101}
-    t = task_inputs(100, 0, 1, ArbitrationTuple(50, 1, 300))
-    assert t.accesses == ()                  # MD=0: no access, no slots
+    assert kernels.task_bus_slots(100, 10, 2, 50) == 3       # span-bound: ceil(120/50)
+    assert kernels.task_bus_slots(1000, 2, 1, 10) == 2       # demand-bound: min{2, 101}
+    assert kernels.task_bus_slots(100, 0, 1, 50) == 0        # MD=0: no access, no slots
+    assert bus_interference(100, 0, 1, ArbitrationTuple(50, 1, 300)) == 0
 
 
 def test_bus_interference_golden():
-    t = task_inputs(1, 3, 1, ArbitrationTuple(1_000, 1, 6_000))
-    t = TaskTimingInputs(1, ArbitrationTuple(1, 1, 1),
-                         (BusAccess(3, 1, ArbitrationTuple(1_000, 1, 6_000)),))
     # Force N=3 via a span that needs exactly three slots.
-    t = task_inputs(2_990, 3, 1, ArbitrationTuple(1_000, 1, 6_000))
-    assert bus_slots_needed(t) == 3
-    assert bus_interference(t) == 15_000     # 3 * (6000 - 1000)
+    bus = ArbitrationTuple(1_000, 1, 6_000)
+    assert kernels.task_bus_slots(2_990, 3, 1, bus.slot_len) == 3
+    assert bus_interference(2_990, 3, 1, bus) == 15_000     # 3 * (6000 - 1000)
 
 
 def test_bus_interference_zero_cases():
     # Full reservation: W*S == P, zero gap whatever N is.
-    t = task_inputs(10_000, 5, 1, ArbitrationTuple(1_000, 6, 6_000))
-    assert bus_interference(t) == 0
+    assert bus_interference(10_000, 5, 1, ArbitrationTuple(1_000, 6, 6_000)) == 0
 
 
 def test_core_preemption_golden():
     # demand 135 over budget 150: one period gap of 450.
-    t = TaskTimingInputs(100, ArbitrationTuple(50, 3, 600),
-                         (BusAccess(10, 2, ArbitrationTuple(40, 1, 45)),))
-    assert timing._demand(t) == 135          # 100 + 20 + 3*(45-40)
-    assert core_preemption(t) == 450
+    assert bus_interference(100, 10, 2, ArbitrationTuple(40, 1, 45)) == 15
+    assert core_preemption(100 + 20 + 15, ArbitrationTuple(50, 3, 600)) == 450
     # Exclusive core: W*S == P.
-    t = task_inputs(100, 0, 1, ArbitrationTuple(50, 1, 300),
-                    core=ArbitrationTuple(50, 12, 600))
-    assert core_preemption(t) == 0
+    assert core_preemption(100, ArbitrationTuple(50, 12, 600)) == 0
     # Three budget rounds, gap 550 each.
-    t = task_inputs(150, 0, 1, ArbitrationTuple(50, 1, 300),
-                    core=ArbitrationTuple(50, 1, 600))
-    assert core_preemption(t) == 1_650
+    assert core_preemption(150, ArbitrationTuple(50, 1, 600)) == 1_650
 
 
 def test_wcrt_composition_golden():
-    t = TaskTimingInputs(100, ArbitrationTuple(50, 3, 600),
-                         (BusAccess(10, 2, ArbitrationTuple(40, 1, 45)),))
-    assert wcrt(t) == 585                    # 100 + 20 + 15 + 450
+    parts = wcrt(100, 10, 2, ArbitrationTuple(40, 1, 45), ArbitrationTuple(50, 3, 600))
+    assert parts == (100, 20, 15, 450)
+    assert sum(parts) == 585
 
 
 def test_wcrt_collapses_under_isolation():
-    t = task_inputs(123, 0, 1, ArbitrationTuple(10, 1, 60),
-                    core=ArbitrationTuple(50, 12, 600))
-    assert wcrt(t) == 123
+    parts = wcrt(123, 0, 1, ArbitrationTuple(10, 1, 60), ArbitrationTuple(50, 12, 600))
+    assert sum(parts) == 123
     # Zero-interference collapse with memory traffic: WCET + MD*ST.
-    t = TaskTimingInputs(100, ArbitrationTuple(50, 12, 600),
-                         (BusAccess(10, 2, ArbitrationTuple(2, 6, 12)),))
-    assert wcrt(t) == 100 + 20
-
-
-def test_bus_access_validation():
-    with pytest.raises(ValueError):
-        BusAccess(-1, 1, ArbitrationTuple(10, 1, 60))
-    with pytest.raises(ValueError):
-        BusAccess(1, 0, ArbitrationTuple(10, 1, 60))
-    with pytest.raises(ValueError):
-        BusAccess(1, 20, ArbitrationTuple(10, 1, 60))   # slot < service time
-    with pytest.raises(ValueError):
-        TaskTimingInputs(0, ArbitrationTuple(10, 1, 60))
+    parts = wcrt(100, 10, 2, ArbitrationTuple(2, 6, 12), ArbitrationTuple(50, 12, 600))
+    assert sum(parts) == 100 + 20
 
 
 # ----------------------------------------------------------------- transfers
 
 
-def msg_inputs(
-    md=10, flits=8, hops=3, router_delay=2, tau=10,
-    st=7, bus=ArbitrationTuple(14, 1, 84),
-    unit=ArbitrationTuple(84, 1, 840),
-    route=ArbitrationTuple(10, 2, 100),
-):
-    return MessageTimingInputs(
-        mem_demand=md, flits=flits, hops=hops, router_delay=router_delay,
-        tau=tau, src_service_time=st, src_bus_tuple=bus, tx_tuple=unit,
-        route_tuple=route, dst_service_time=st, dst_bus_tuple=bus,
-        rx_tuple=unit,
-    )
+BUS = ArbitrationTuple(14, 1, 84)
+UNIT = ArbitrationTuple(84, 1, 840)
+ROUTE = ArbitrationTuple(10, 2, 100)
 
 
 def test_adapter_bus_slots_golden():
-    m = msg_inputs()
-    assert timing.tx_bus_slots(m) == 5       # ceil(10 / ceil(14/7))
-    m = msg_inputs(md=1)
-    assert timing.tx_bus_slots(m) == 1
-    m = msg_inputs(md=7, st=7, bus=ArbitrationTuple(7, 1, 42),
-                   unit=ArbitrationTuple(42, 1, 420))
-    assert timing.tx_bus_slots(m) == 7       # one access per slot
+    assert kernels.msg_bus_slots(10, 14, 7) == 5             # ceil(10 / ceil(14/7))
+    assert kernels.msg_bus_slots(1, 14, 7) == 1
+    assert kernels.msg_bus_slots(7, 7, 7) == 7               # one access per slot
 
 
 def test_adapter_latency_golden():
-    m = msg_inputs()
-    assert tx_latency(m) == 4_200            # 70 + 5*70 + 5*756
-    assert rx_latency(m) == 4_200            # symmetric sides
+    assert tx_latency(10, 7, BUS, UNIT) == 4_200             # 70 + 5*70 + 5*756
+    assert rx_latency(10, 7, BUS, UNIT) == 4_200             # symmetric sides
 
 
 def test_adapter_latency_collapses_exclusive():
     # Wait-free bus and unit: only the word service remains.
-    m = msg_inputs(bus=ArbitrationTuple(14, 6, 84),
-                   unit=ArbitrationTuple(84, 10, 840))
-    assert tx_latency(m) == 70
+    assert tx_latency(10, 7, ArbitrationTuple(14, 6, 84),
+                      ArbitrationTuple(84, 10, 840)) == 70
 
 
 def test_noc_latency_golden():
-    m = msg_inputs()
-    assert noc_latency(m) == 610             # 13*10 + 6*80
+    assert noc_latency(8, 3, 2, ROUTE) == 610                # 13*10 + 6*80
     # Full link reservation: pipeline only.
-    m = msg_inputs(route=ArbitrationTuple(10, 10, 100))
-    assert noc_latency(m) == 130
+    assert noc_latency(8, 3, 2, ArbitrationTuple(10, 10, 100)) == 130
     # Single flit, single hop, no router delay: one service gap.
-    m = msg_inputs(flits=1, hops=1, router_delay=0,
-                   route=ArbitrationTuple(10, 1, 100))
-    assert noc_latency(m) == 90
+    assert noc_latency(1, 1, 0, ArbitrationTuple(10, 1, 100)) == 90
 
 
 def test_wctt_composition():
-    m = msg_inputs()
-    assert wctt(m) == 4_200 + 610 + 4_200
-
-
-def test_message_inputs_validation():
-    with pytest.raises(ValueError):
-        msg_inputs(md=0)
-    with pytest.raises(ValueError):
-        msg_inputs(flits=0)
-    with pytest.raises(ValueError):
-        msg_inputs(hops=0)
-    with pytest.raises(ValueError):
-        msg_inputs(route=ArbitrationTuple(20, 2, 100))   # slot != tau
-    with pytest.raises(ValueError):
-        msg_inputs(unit=ArbitrationTuple(80, 1, 840))    # slot != bus period
+    parts = wctt(10, 8, 3, 2, 7, BUS, UNIT, ROUTE, 7, BUS, UNIT)
+    assert parts == (4_200, 610, 4_200)
 
 
 # -------------------------------------------------------------- composition
@@ -299,7 +227,8 @@ def test_long_chain_builds_and_composes():
 # ------------------------------------------------- randomized monotonicities
 
 
-def random_task(rng: Random) -> TaskTimingInputs:
+def random_task(rng: Random):
+    """(wcet, mem_demand, service_time, bus tuple, core tuple)."""
     st = rng.randrange(1, 50)
     bus_slot = st * rng.randrange(1, 5)
     bus_w = rng.randrange(1, 5)
@@ -308,15 +237,10 @@ def random_task(rng: Random) -> TaskTimingInputs:
     core_w = rng.randrange(1, 5)
     core_k = core_w + rng.randrange(0, 5)
     core_d = rng.randrange(0, 200)
-    return TaskTimingInputs(
-        wcet=rng.randrange(1, 50_000),
-        core_tuple=ArbitrationTuple(core_slot, core_w, core_k * (core_slot + core_d)),
-        accesses=(
-            BusAccess(
-                rng.randrange(0, 60), st,
-                ArbitrationTuple(bus_slot, bus_w, bus_k * bus_slot),
-            ),
-        ),
+    return (
+        rng.randrange(1, 50_000), rng.randrange(0, 60), st,
+        ArbitrationTuple(bus_slot, bus_w, bus_k * bus_slot),
+        ArbitrationTuple(core_slot, core_w, core_k * (core_slot + core_d)),
     )
 
 
@@ -328,15 +252,9 @@ def shrink(t: ArbitrationTuple, rng: Random) -> ArbitrationTuple:
 def test_wcrt_monotone_in_wait_times():
     rng = Random(20260814)
     for _ in range(1_000):
-        t = random_task(rng)
-        acc = t.accesses[0]
-        better = TaskTimingInputs(
-            wcet=t.wcet,
-            core_tuple=shrink(t.core_tuple, rng),
-            accesses=(BusAccess(acc.mem_demand, acc.service_time,
-                                shrink(acc.bus_tuple, rng)),),
-        )
-        assert wcrt(better) <= wcrt(t)
+        wcet, md, st, bus, core = random_task(rng)
+        better = wcrt(wcet, md, st, shrink(bus, rng), shrink(core, rng))
+        assert sum(better) <= sum(wcrt(wcet, md, st, bus, core))
 
 
 def test_wctt_monotone_in_wait_times():
@@ -351,22 +269,13 @@ def test_wctt_monotone_in_wait_times():
         tau = rng.randrange(1, 20)
         rw, rk = rng.randrange(1, 4), rng.randrange(4, 8)
         route = ArbitrationTuple(tau, rw, rk * tau)
-        m = MessageTimingInputs(
-            mem_demand=rng.randrange(1, 50), flits=rng.randrange(1, 40),
-            hops=rng.randrange(1, 6), router_delay=rng.randrange(0, 4),
-            tau=tau, src_service_time=st, src_bus_tuple=bus, tx_tuple=unit,
-            route_tuple=route, dst_service_time=st, dst_bus_tuple=bus,
-            rx_tuple=unit,
-        )
+        md, flits = rng.randrange(1, 50), rng.randrange(1, 40)
+        hops, router_delay = rng.randrange(1, 6), rng.randrange(0, 4)
         better_unit = shrink(unit, rng)
-        better = MessageTimingInputs(
-            mem_demand=m.mem_demand, flits=m.flits, hops=m.hops,
-            router_delay=m.router_delay, tau=tau, src_service_time=st,
-            src_bus_tuple=bus, tx_tuple=better_unit,
-            route_tuple=shrink(route, rng), dst_service_time=st,
-            dst_bus_tuple=bus, rx_tuple=better_unit,
-        )
-        assert wctt(better) <= wctt(m)
+        better = wctt(md, flits, hops, router_delay, st, bus, better_unit,
+                      shrink(route, rng), st, bus, better_unit)
+        worse = wctt(md, flits, hops, router_delay, st, bus, unit, route, st, bus, unit)
+        assert sum(better) <= sum(worse)
 
 
 def test_isolation_ordering_at_formula_level():
@@ -382,16 +291,13 @@ def test_isolation_ordering_at_formula_level():
         wcet = rng.randrange(1, 20_000)
         md = rng.randrange(0, 40)
 
-        def inputs(bus_kk, core_kk):
-            return TaskTimingInputs(
-                wcet=wcet,
-                core_tuple=ArbitrationTuple(
-                    core_slot, w, core_kk * (core_slot + core_d)),
-                accesses=(BusAccess(md, st, ArbitrationTuple(
-                    bus_slot, 1, bus_kk * bus_slot)),),
-            )
+        def bound(bus_kk, core_kk):
+            return sum(wcrt(
+                wcet, md, st, ArbitrationTuple(bus_slot, 1, bus_kk * bus_slot),
+                ArbitrationTuple(core_slot, w, core_kk * (core_slot + core_d)),
+            ))
 
-        shared = wcrt(inputs(bus_k, core_k))
-        core_res = wcrt(inputs(bus_k, w))          # exclusive core
-        tile_res = wcrt(inputs(2, w))              # bus shrunk to live masters
+        shared = bound(bus_k, core_k)
+        core_res = bound(bus_k, w)                 # exclusive core
+        tile_res = bound(2, w)                     # bus shrunk to live masters
         assert tile_res <= core_res <= shared

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .generator import PROFILES, generate_spec
 from .mapping import ExplorationMode, MappingResult, load_mapping_doc
-from .model import emit_spec, load_spec
+from .model import emit_spec, load_spec, parse_json
 from .simoracle import PHANTOM_LOADS, adversarial_sweep
 
 EXIT_OK = 0
@@ -68,8 +68,7 @@ def _manifest(args, **extra) -> dict:
 
 
 def _load_mapping(args, spec) -> MappingResult:
-    doc = json.loads(Path(args.mapping).read_text())
-    return load_mapping_doc(spec, doc)
+    return load_mapping_doc(spec, parse_json(Path(args.mapping).read_text()))
 
 
 def _archive_entries(archive) -> list[MappingResult]:
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
             SimHorizonExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

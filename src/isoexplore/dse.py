@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Sequence
@@ -234,7 +233,9 @@ def explore(
     threads: int | None = None,
 ) -> ExploreResult:
     """Evolve mappings under one mode; returns the archive plus a trace of
-    archive quality (eps against the final archive) per iteration."""
+    archive quality (eps against the final archive) per iteration.
+
+    `threads` is ignored: decoding runs serially in the calling thread."""
     if population < 1:
         raise DomainError(f"population must be >= 1, got {population}")
     if iterations < 0:
@@ -242,14 +243,10 @@ def explore(
     if offspring < 1:
         raise DomainError(f"offspring must be >= 1, got {offspring}")
     rng = Random(derive_seed(seed, mode.value, "explore"))
-    workers = max(1, threads or 1)
     started = time.perf_counter()
 
     def evaluate(genotypes: list[Genotype]) -> list[MappingResult]:
-        if workers == 1 or len(genotypes) <= 1:
-            return [decode(spec, g, mode) for g in genotypes]
-        with ThreadPoolExecutor(max_workers=min(workers, len(genotypes))) as pool:
-            return list(pool.map(lambda g: decode(spec, g, mode), genotypes))
+        return [decode(spec, g, mode) for g in genotypes]
 
     archive = ParetoArchive()
     snapshots: list[tuple[int, float, list[Vector]]] = []
@@ -322,7 +319,6 @@ def compare_approaches(
     iterations: int = 200,
     population: int = 100,
     offspring: int = 25,
-    threads: int | None = None,
 ) -> ComparisonResult:
     """Run all modes per repetition; score each archive against the
     repetition's union reference front with the eps indicator."""
@@ -341,7 +337,6 @@ def compare_approaches(
                 iterations=iterations,
                 population=population,
                 offspring=offspring,
-                threads=threads,
             )
             rep_fronts[mode.value] = res.archive.vectors()
             fronts[(mode.value, rep)] = rep_fronts[mode.value]

@@ -440,6 +440,8 @@ def _ns_from_us(val: Any, what: str) -> int:
     ns = val * NS_PER_US
     if isinstance(ns, float) and not math.isfinite(ns):
         raise SpecSyntaxError(f"{what} must be a finite number, got {val!r}")
+    if abs(ns - round(ns)) > 1e-6:
+        raise SpecSyntaxError(f"{what} must be a whole number of nanoseconds, got {val!r}")
     return round(ns)
 
 
@@ -635,12 +637,18 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
     return ArchitectureGraph(mesh=mesh, tiles=tuple(tiles), noc=noc, energy=energy)
 
 
+def parse_json(text: str) -> Any:
+    """Decode JSON text; malformed or too deeply nested text raises
+    SpecSyntaxError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
+
+
 def parse_spec(text: str) -> ProblemSpec:
     """Parse and validate a problem document from JSON text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise SpecSyntaxError("document root must be an object")
     app = _parse_application(_req(doc, "application", ""))

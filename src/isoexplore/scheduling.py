@@ -232,10 +232,6 @@ def refine_tuples(
         ts.bus_capacity[tile.id] = k_bus
         for core in hosting:
             ts.core_bus[core.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
-        if outbound:
-            ts.tx_bus[tile.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
-        if inbound:
-            ts.rx_bus[tile.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
 
         core_policy = extended_core_policy(tile)
         for core in hosting:
@@ -248,29 +244,21 @@ def refine_tuples(
             for task_id in tasks_on_core[core.id]:
                 ts.core[task_id] = make_tuple(core_policy, task_weights[task_id], k_core)
 
-        if outbound:
-            slot = ts.tx_bus[tile.id].period
-            weights = [message_weights[(i.message.id, i.consumer)] for i in outbound]
-            if tile.id in reserved_tiles and tile.tx_policy.work_conserving:
-                k_tx = reduce_capacity(tile.tx_policy, sum(weights))
+        for out, traffic, policy, bus in (
+            (ts.tx, outbound, tile.tx_policy, ts.tx_bus),
+            (ts.rx, inbound, tile.rx_policy, ts.rx_bus),
+        ):
+            if not traffic:
+                continue
+            bus[tile.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
+            weights = [message_weights[(i.message.id, i.consumer)] for i in traffic]
+            if tile.id in reserved_tiles and policy.work_conserving:
+                k_na = reduce_capacity(policy, sum(weights))
             else:
-                k_tx = tile.tx_policy.capacity
-            for inst in outbound:
-                key = (inst.message.id, inst.consumer)
-                ts.tx[key] = make_tuple(
-                    tile.tx_policy, message_weights[key], k_tx, slot_len=slot
-                )
-        if inbound:
-            slot = ts.rx_bus[tile.id].period
-            weights = [message_weights[(i.message.id, i.consumer)] for i in inbound]
-            if tile.id in reserved_tiles and tile.rx_policy.work_conserving:
-                k_rx = reduce_capacity(tile.rx_policy, sum(weights))
-            else:
-                k_rx = tile.rx_policy.capacity
-            for inst in inbound:
-                key = (inst.message.id, inst.consumer)
-                ts.rx[key] = make_tuple(
-                    tile.rx_policy, message_weights[key], k_rx, slot_len=slot
+                k_na = policy.capacity
+            for inst, w in zip(traffic, weights):
+                out[(inst.message.id, inst.consumer)] = make_tuple(
+                    policy, w, k_na, slot_len=bus[tile.id].period
                 )
 
     for inst in instances:

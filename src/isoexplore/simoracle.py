@@ -6,6 +6,12 @@ synchronous mesh) under adversary-controlled background load, release
 jitter and access patterns. Observed response and traversal times must
 never exceed the bounds computed for the same mapping.
 
+Every shared resource (core, tile bus, TX or RX adapter, mesh link) is one
+slot arbiter, as in the analysis; the TX and RX adapters differ only in
+what follows a packet's last word. Under a TDM (non-work-conserving)
+timetable, a job released inside its own task's slot runs for the rest of
+that slot.
+
 Supported platform family, validated up front:
   - every bus slot equals its memory's single-word service time,
   - every duration is a multiple of the link cycle, link arbitration
@@ -146,12 +152,12 @@ class _SlotArbiter:
         self,
         eng: _Engine,
         rng: Random,
-        slots: list[str],
+        slots: list,
         slot_len: int,
         delay: int,
         work_conserving: bool,
-        pending: Callable[[str, int], bool],
-        grant: Callable[[str, int, int], None],
+        pending: Callable[[object, int], bool],
+        grant: Callable[[object, int, int], None],
         any_real: Callable[[], bool],
         phantom_busy: Callable[[], bool],
     ):
@@ -168,7 +174,7 @@ class _SlotArbiter:
         self.any_real = any_real
         self.phantom_busy = phantom_busy
         self.idx = 0
-        self.last: str | None = None
+        self.last = None
         self.sleeping = True
 
     def kick(self, t: int) -> None:
@@ -181,6 +187,15 @@ class _SlotArbiter:
         else:
             span = self.slot_len + self.delay
             self.eng.push(-(-t // span) * span, self._advance)
+
+    def window(self, owner, t: int) -> tuple[int, int] | None:
+        """The rest of `owner`'s timetable slot at `t`; None when `t` lies
+        in another owner's slot or the arbiter is work-conserving."""
+        span = self.slot_len + self.delay
+        start = t - t % span
+        if self.work_conserving or self.slots[(start // span) % len(self.slots)] != owner:
+            return None
+        return max(t, start + self.delay), start + span
 
     def _busy(self, owner, t: int) -> bool:
         if _is_phantom(owner):
@@ -214,58 +229,6 @@ class _SlotArbiter:
                 self.grant(owner, t + self.delay, t + span)
 
 
-class _LinkArbiter:
-    """One directed mesh link: one flit per cycle to the granted owner."""
-
-    def __init__(self, eng, rng, slots, cycle, work_conserving, grant, phantom_busy):
-        self.eng = eng
-        self.rng = rng
-        self.slots = slots
-        self.cycle = cycle
-        self.work_conserving = work_conserving
-        self.grant = grant
-        self.phantom_busy = phantom_busy
-        self.queues: dict[str, deque] = {}
-        self.idx = 0
-        self.sleeping = True
-
-    def enqueue(self, flow, flit, t: int) -> None:
-        self.queues.setdefault(flow, deque()).append(flit)
-        if self.sleeping:
-            self.sleeping = False
-            if self.work_conserving:
-                self.idx = self.rng.randrange(len(self.slots))
-                self.eng.push(t, self._advance)
-            else:
-                self.eng.push(-(-t // self.cycle) * self.cycle, self._advance)
-
-    def _busy(self, owner) -> bool:
-        if _is_phantom(owner):
-            return self.phantom_busy()
-        q = self.queues.get(owner)
-        return bool(q)
-
-    def _advance(self, t: int) -> None:
-        if not any(self.queues.values()):
-            self.sleeping = True
-            return
-        if self.work_conserving:
-            for _ in range(len(self.slots)):
-                owner = self.slots[self.idx]
-                self.idx = (self.idx + 1) % len(self.slots)
-                if self._busy(owner):
-                    self.eng.push(t + self.cycle, self._advance)
-                    if not _is_phantom(owner):
-                        self.grant(self.queues[owner].popleft(), t)
-                    return
-            self.sleeping = True
-        else:
-            owner = self.slots[(t // self.cycle) % len(self.slots)]
-            self.eng.push(t + self.cycle, self._advance)
-            if self._busy(owner) and not _is_phantom(owner):
-                self.grant(self.queues[owner].popleft(), t)
-
-
 # ------------------------------------------------------------------ entities
 
 
@@ -290,25 +253,24 @@ class _Job:
 
 
 class _Packet:
-    __slots__ = ("key", "release", "words", "fetched", "written", "flits",
-                 "links", "injected")
+    __slots__ = ("key", "release", "words", "moved", "flits", "links")
 
     def __init__(self, key, release, words, flits, links):
         self.key = key
         self.release = release
         self.words = words
-        self.fetched = 0
-        self.written = 0
+        self.moved = 0                  # words the current adapter has moved
         self.flits = flits
         self.links = links
-        self.injected = -1
 
 
 class _Unit:
-    """TX or RX adapter: windows granted per transfer over the tile bus."""
+    """TX or RX adapter: windows granted per transfer over the tile bus.
+    A packet whose last word has moved goes on to `step` (inject or deliver)."""
 
-    def __init__(self):
-        self.flows: dict[InstanceKey, deque[_Packet]] = {}
+    def __init__(self, keys, step: Callable[[_Packet, int], None]):
+        self.flows: dict[InstanceKey, deque[_Packet]] = {k: deque() for k in keys}
+        self.step = step
         self.current: tuple[object, int] | None = None   # flow, window end
         self.arbiter: _SlotArbiter | None = None
 
@@ -402,7 +364,8 @@ class _Sim:
         self.bus_arbiters: dict[str, _SlotArbiter] = {}
         self.tx_units: dict[str, _Unit] = {}
         self.rx_units: dict[str, _Unit] = {}
-        self.links: dict[str, _LinkArbiter] = {}
+        self.links: dict[str, _SlotArbiter] = {}
+        self.flits: dict[str, dict[InstanceKey, deque]] = {}   # link -> flow -> flits
         self.service: dict[str, int] = {}               # tile -> word service time
         self._build()
         self._release_jobs()
@@ -489,44 +452,26 @@ class _Sim:
             )
 
             # adapter units: slot spans one refined bus arbitration period
-            if outbound:
-                unit = _Unit()
-                flows = [i.key for i in outbound for _ in range(msg_weights[i.key])]
-                pol_u = tile.tx_policy
-                cap = (sum(msg_weights[i.key] for i in outbound)
-                       if reserved and pol_u.work_conserving else pol_u.capacity)
-                slot = tuples.tx_bus[tile.id].period
+            for units, traffic, pol_u, bus, step in (
+                (self.tx_units, outbound, tile.tx_policy, tuples.tx_bus, self._inject),
+                (self.rx_units, inbound, tile.rx_policy, tuples.rx_bus, self._delivered),
+            ):
+                if not traffic:
+                    continue
+                unit = _Unit([i.key for i in traffic], step)
+                flows = [i.key for i in traffic for _ in range(msg_weights[i.key])]
+                cap = len(flows) if reserved and pol_u.work_conserving else pol_u.capacity
                 unit.arbiter = _SlotArbiter(
                     self.eng, self.rng, self._fill(flows, cap),
-                    slot, pol_u.arb_delay, pol_u.work_conserving,
+                    bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
                     pending=lambda o, t, u=unit: bool(u.flows.get(o)),
                     grant=lambda o, s, e, u=unit, tid=tile.id: self._unit_grant(u, tid, o, s, e),
                     any_real=lambda u=unit: any(u.flows.values()),
                     phantom_busy=self._phantom_busy,
                 )
-                for inst in outbound:
-                    unit.flows[inst.key] = deque()
-                self.tx_units[tile.id] = unit
-            if inbound:
-                unit = _Unit()
-                flows = [i.key for i in inbound for _ in range(msg_weights[i.key])]
-                pol_u = tile.rx_policy
-                cap = (sum(msg_weights[i.key] for i in inbound)
-                       if reserved and pol_u.work_conserving else pol_u.capacity)
-                slot = tuples.rx_bus[tile.id].period
-                unit.arbiter = _SlotArbiter(
-                    self.eng, self.rng, self._fill(flows, cap),
-                    slot, pol_u.arb_delay, pol_u.work_conserving,
-                    pending=lambda o, t, u=unit: bool(u.flows.get(o)),
-                    grant=lambda o, s, e, u=unit, tid=tile.id: self._unit_grant(u, tid, o, s, e),
-                    any_real=lambda u=unit: any(u.flows.values()),
-                    phantom_busy=self._phantom_busy,
-                )
-                for inst in inbound:
-                    unit.flows[inst.key] = deque()
-                self.rx_units[tile.id] = unit
+                units[tile.id] = unit
 
-        # mesh links
+        # mesh links: one flit per cycle to the granted flow
         lp = arch.noc.link_policy
         flows_on_link: dict[str, list[InstanceKey]] = {}
         for inst in mp.instances:
@@ -535,10 +480,13 @@ class _Sim:
                     [inst.key] * msg_weights[inst.key]
                 )
         for link_id, flows in flows_on_link.items():
-            self.links[link_id] = _LinkArbiter(
+            queues = self.flits[link_id] = {key: deque() for key in flows}
+            self.links[link_id] = _SlotArbiter(
                 self.eng, self.rng, self._fill(flows, lp.capacity),
-                self.tau, lp.work_conserving,
-                grant=lambda flit, t, lid=link_id: self._link_grant(lid, flit, t),
+                self.tau, 0, lp.work_conserving,
+                pending=lambda o, t, q=queues: bool(q.get(o)),
+                grant=lambda o, s, e, lid=link_id: self._link_grant(lid, o, s),
+                any_real=lambda q=queues: any(q.values()),
                 phantom_busy=self._phantom_busy,
             )
 
@@ -579,8 +527,16 @@ class _Sim:
             self.result.traversals[inst.key] = []
 
     def _release(self, job: _Job, t: int) -> None:
-        self.job_queues[job.task_id].append(job)
-        self.core_arbiters[self.mapping.bindings[job.task_id]].kick(t)
+        q = self.job_queues[job.task_id]
+        q.append(job)
+        arbiter = self.core_arbiters[self.mapping.bindings[job.task_id]]
+        arbiter.kick(t)
+        # A TDM timetable grants at slot starts only; a job released inside
+        # its task's slot runs for the rest of that slot, as the analysis
+        # assumes.
+        window = arbiter.window(job.task_id, t) if len(q) == 1 else None
+        if window:
+            self._core_grant(job.task_id, *window)
 
     def _core_grant(self, task_id: str, start: int, end: int) -> None:
         if _is_phantom(task_id):
@@ -680,22 +636,16 @@ class _Sim:
             self.eng.push(start + st, lambda now, j=job: self._word_done(j, now))
             return
         tile_id = owner[2:]
-        st = self.service[tile_id]
         unit = self.tx_units[tile_id] if owner.startswith("t:") else self.rx_units[tile_id]
         flow = unit.active_flow(start)
         if flow is None:
             return          # background window, or the window just lapsed
         packet = unit.flows[flow][0]
-        if owner.startswith("t:"):
-            packet.fetched += 1
-            if packet.fetched == packet.words:
-                unit.flows[flow].popleft()
-                self.eng.push(start + st, lambda now, p=packet: self._inject(p, now))
-        else:
-            packet.written += 1
-            if packet.written == packet.words:
-                unit.flows[flow].popleft()
-                self.eng.push(start + st, lambda now, p=packet: self._delivered(p, now))
+        packet.moved += 1
+        if packet.moved == packet.words:
+            unit.flows[flow].popleft()
+            self.eng.push(start + self.service[tile_id],
+                          lambda now, p=packet, step=unit.step: step(p, now))
 
     def _unit_grant(self, unit: _Unit, tile_id: str, flow, start: int, end: int) -> None:
         unit.current = (flow, end)
@@ -715,23 +665,28 @@ class _Sim:
         unit.arbiter.kick(t)
 
     def _inject(self, packet: _Packet, t: int) -> None:
-        packet.injected = t
         for i in range(packet.flits):
-            self.links[packet.links[0]].enqueue(packet.key, (packet, i), t)
+            self._enqueue(packet.links[0], (packet, i), t)
 
-    def _link_grant(self, link_id: str, flit, t: int) -> None:
+    def _enqueue(self, link_id: str, flit, t: int) -> None:
+        self.flits[link_id][flit[0].key].append(flit)
+        self.links[link_id].kick(t)
+
+    def _link_grant(self, link_id: str, flow, t: int) -> None:
+        if _is_phantom(flow):
+            return
+        flit = self.flits[link_id][flow].popleft()
         packet, idx = flit
         pos = packet.links.index(link_id)
         arrive = t + self.arch.noc.router_delay * self.tau
         if pos + 1 < len(packet.links):
             nxt = packet.links[pos + 1]
-            self.eng.push(
-                arrive, lambda now, f=flit, l=nxt: self.links[l].enqueue(f[0].key, f, now)
-            )
+            self.eng.push(arrive, lambda now, f=flit, l=nxt: self._enqueue(l, f, now))
         elif idx == packet.flits - 1:
             self.eng.push(arrive, lambda now, p=packet: self._arrived(p, now))
 
     def _arrived(self, packet: _Packet, t: int) -> None:
+        packet.moved = 0
         inst = self.instances[packet.key]
         unit = self.rx_units[inst.dst_tile]
         unit.flows[packet.key].append(packet)

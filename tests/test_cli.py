@@ -368,6 +368,33 @@ def test_bus_slot_shorter_than_service_time_exits_2(spec_path, mapping_path, tmp
     assert "shorter than the memory service time" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("role", ["spec", "mapping"])
+def test_deeply_nested_document_exits_2(spec_path, mapping_path, tmp_path, capsys, role):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    paths = {"spec": spec_path, "mapping": mapping_path, role: deep}
+    assert main(["validate", "--spec", str(paths["spec"]),
+                 "--mapping", str(paths["mapping"])]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("wcet_us", 12.3456789), ("period_us", 0.0004)])
+def test_fractional_nanoseconds_exit_2(spec_path, mapping_path, tmp_path, capsys,
+                                       field, value):
+    doc = json.loads(spec_path.read_text())
+    task = doc["application"]["tasks"][0]
+    if field == "period_us":
+        task["period_us"] = value
+    else:
+        task["wcet_us"][next(iter(task["wcet_us"]))] = value
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "--spec", str(bad), "--mapping", str(mapping_path)]) == 2
+    err = capsys.readouterr().err
+    assert "whole number of nanoseconds" in err and "Traceback" not in err
+
+
 def test_malformed_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"application": 5}')

@@ -164,6 +164,8 @@ def test_rejects_invalid_json():
         parse_spec("{nope")
     with pytest.raises(SpecSyntaxError):
         parse_spec("[1, 2]")
+    with pytest.raises(SpecSyntaxError, match="not valid JSON"):
+        parse_spec("[" * 200_000)                    # nested past the recursion limit
 
 
 def test_rejects_missing_fields():
@@ -197,6 +199,16 @@ def test_rejects_wrong_types():
         lambda d: d["architecture"]["noc"]["link_policy"].update({"slot_len": 1.5})
     )
     with pytest.raises(SpecSyntaxError, match="link_policy.slot_len"):
+        parse(doc)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda t: t.update({"wcet_us": {"gp": 12.3456789}}), r"wcet_us\[gp\]"),
+    (lambda t: t.update({"period_us": 0.0004}), "period_us"),
+], ids=["wcet_us", "period_us"])
+def test_rejects_fractional_nanoseconds(edit, field):
+    doc = mutated(lambda d: edit(d["application"]["tasks"][0]))
+    with pytest.raises(SpecSyntaxError, match=f"{field} must be a whole number of nanoseconds"):
         parse(doc)
 
 

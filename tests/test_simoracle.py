@@ -7,7 +7,7 @@ import pytest
 from isoexplore import generate_spec
 from isoexplore.errors import BoundViolation, DomainError
 from isoexplore.mapping import from_bindings, random_genotype, decode
-from isoexplore.model import parse_spec
+from isoexplore.model import emit_spec, parse_spec
 from isoexplore.simoracle import (
     TrialConfig,
     adversarial_sweep,
@@ -119,6 +119,58 @@ def test_trial_records_every_job_and_packet(two_tile_spec, two_tile_shared):
     assert all(v > 0 for vals in res.responses.values() for v in vals)
 
 
+REMOTE = {"t00": "t0_0.c0", "t01": "t1_0.c0", "t02": "t0_1.c0", "t03": "t1_1.c0",
+          "t04": "t0_0.c1", "t05": "t1_1.c1", "t06": "t1_0.c1"}
+
+GOLDEN = {
+    "max": (5922, 27657330, {
+        "t00": [442820, 272540, 452050, 212260], "t01": [15980, 446540],
+        "t02": [268280, 517510], "t03": [561400, 392100],
+        "t04": [391310, 341590, 461730, 220890],
+        "t05": [93440, 583020, 522670, 402880], "t06": [507960, 158380],
+    }, {
+        ("m00", "t04"): [89830, 80280], ("m01", "t05"): [52830, 52920, 55460, 49440],
+        ("m02", "t03"): [41370, 36490], ("m03", "t06"): [53220, 44910],
+        ("m05", "t06"): [39540, 38380], ("m06", "t03"): [20970, 35510],
+        ("m07", "t01"): [22250, 16180],
+    }),
+    "random": (4842, 27515600, {
+        "t00": [81630, 92120, 92190, 92190], "t01": [76190, 266120],
+        "t02": [147160, 27370], "t03": [201540, 150980],
+        "t04": [331030, 221170, 161310, 30960],
+        "t05": [93090, 342670, 32530, 102390], "t06": [388240, 338100],
+    }, {
+        ("m00", "t04"): [47640, 52290], ("m01", "t05"): [29380, 28650, 28180, 27780],
+        ("m02", "t03"): [19280, 20030], ("m03", "t06"): [40240, 39670],
+        ("m05", "t06"): [18530, 16020], ("m06", "t03"): [16630, 22520],
+        ("m07", "t01"): [13920, 15540],
+    }),
+    "none": (2576, 27419200, {
+        "t00": [21210] * 4, "t01": [14440] * 2, "t02": [25060] * 2,
+        "t03": [20350] * 2, "t04": [30680] * 4, "t05": [31760] * 4,
+        "t06": [27610] * 2,
+    }, {
+        ("m00", "t04"): [3140, 3140], ("m01", "t05"): [3200, 2360, 3200, 2360],
+        ("m02", "t03"): [1640, 1640], ("m03", "t06"): [2420, 2420],
+        ("m05", "t06"): [1320, 1320], ("m06", "t03"): [1740, 1740],
+        ("m07", "t01"): [2020, 1180],
+    }),
+}
+
+
+@pytest.mark.parametrize("load", sorted(GOLDEN))
+def test_trial_golden_on_remote_mapping(small_mesh_spec, load):
+    # Pins the simulator's event order and arbitration: one- and two-hop
+    # transfers, shared links, both adapters, jitter and mixed patterns.
+    mapping = from_bindings(small_mesh_spec, REMOTE)
+    res = simulate(small_mesh_spec, mapping, TrialConfig(
+        seed=7, phantom_load=load, jitter=True, pattern="mix"))
+    events, makespan, responses, traversals = GOLDEN[load]
+    assert (res.events, res.makespan) == (events, makespan)
+    assert res.responses == responses
+    assert res.traversals == traversals
+
+
 def test_exclusive_path_is_observed_exactly():
     # One task alone on a reserved single-tile mesh: the simulator must
     # reproduce the collapsed bound with zero slack, whatever the adversary
@@ -135,6 +187,39 @@ def test_exclusive_path_is_observed_exactly():
                 seed=seed, phantom_load="max", jitter=True, pattern=pattern))
             assert res.responses[task.id] == [exact, exact]
     assert mapping.task_wcrt[task.id] >= exact
+
+
+def tdm_cores(spec):
+    doc = json.loads(emit_spec(spec))
+    for tile_type in doc["architecture"]["tile_types"]:
+        tile_type["core_policy"]["work_conserving"] = False
+    return doc
+
+
+@pytest.mark.parametrize("load", ["max", "random", "none"])
+def test_tdm_job_released_mid_slot_runs_in_that_slot(load):
+    # Core timetable: 10 slots of 10 us delay + 50 us, the task owns the
+    # first. The second job is released at 4,220 us, 20 us into its own
+    # slot, and must finish by the slot's end at 4,260 us instead of
+    # waiting a whole 600 us period.
+    doc = tdm_cores(generate_spec("networking", mesh=(1, 1), seed=0, tasks=1, messages=0))
+    doc["application"]["tasks"][0]["period_us"] = 4220
+    spec = parse_spec(json.dumps(doc))
+    mapping = from_bindings(spec, {"t00": "t0_0.c0"})
+    res = simulate(spec, mapping, TrialConfig(seed=1, phantom_load=load))
+    first, second = res.responses["t00"]
+    assert second <= 40_000
+    assert max(first, second) <= mapping.task_wcrt["t00"]
+
+
+def test_sweep_bounds_hold_with_tdm_cores(small_mesh_spec):
+    spec = parse_spec(json.dumps(tdm_cores(small_mesh_spec)))
+    rng = Random(3)
+    res = decode(spec, random_genotype(spec, rng))
+    while not res.feasible:
+        res = decode(spec, random_genotype(spec, rng))
+    sweep = adversarial_sweep(spec, res, trials=6, seed=3)
+    assert all(row["margin_ns"] >= 0 for row in sweep.rows())
 
 
 # ---------------------------------------------------------------------- sweep

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from operator import truediv
 from random import Random
 from typing import Iterable, Sequence
 
@@ -57,14 +58,11 @@ def epsilon_dominance(front: Sequence[Vector], reference: Sequence[Vector]) -> f
     for v in (*front, *reference):
         if any(x <= 0 for x in v):
             raise DomainError(f"objective vector {v} has a non-positive value")
-    eps = 0.0
-    for s in reference:
-        best = min(
-            max((1.0 - so / fo) for so, fo in zip(s, f))
-            for f in front
-        )
-        eps = max(eps, best)
-    return max(0.0, eps)
+    # 1 - x rounds monotonically, so max_o(1 - s_o/f_o) == 1 - min_o(s_o/f_o)
+    # as floats, and the outer min/max swap the same way.
+    return max(0.0, 1.0 - min(
+        max(min(map(truediv, s, f)) for f in front) for s in reference
+    ))
 
 
 class ParetoArchive:
@@ -104,18 +102,27 @@ def derive_seed(*parts) -> int:
 
 
 def _fast_nondominated_sort(vectors: list[Vector]) -> list[list[int]]:
+    """Fronts of (latency, cores, energy) vectors, as index lists.
+
+    In lexicographic order only an earlier vector can dominate a later one,
+    and its first objective is already no larger, so each pair takes one
+    test of the other two (Kung, Luccio & Preparata 1975)."""
     n = len(vectors)
+    order = sorted(range(n), key=vectors.__getitem__)
     dominated_by: list[list[int]] = [[] for _ in range(n)]
     counts = [0] * n
     fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(vectors[i], vectors[j]):
-                dominated_by[i].append(j)
+    for x, i in enumerate(order):
+        a = vectors[i]
+        _, a1, a2 = a
+        below = dominated_by[i]
+        for j in order[x + 1:]:
+            b = vectors[j]
+            if a1 <= b[1] and a2 <= b[2] and a != b:
+                below.append(j)
                 counts[j] += 1
-            elif dominates(vectors[j], vectors[i]):
-                dominated_by[j].append(i)
-                counts[i] += 1
+    for below in dominated_by:
+        below.sort()
     for i in range(n):
         if counts[i] == 0:
             fronts[0].append(i)
@@ -154,10 +161,14 @@ class _Individual:
     mapping: MappingResult
     rank: int = 0
     crowding: float = 0.0
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        self.digest = self.mapping.digest
 
     @property
     def sort_key(self):
-        return (self.rank, -self.crowding, self.mapping.digest)
+        return (self.rank, -self.crowding, self.digest)
 
 
 def _rank_population(pop: list[_Individual]) -> None:
@@ -280,15 +291,18 @@ def explore(
         )
 
     final = archive.vectors()
-    trace = [
-        {
+    trace = []
+    previous, eps = None, 1.0
+    for it, elapsed, vecs in snapshots:
+        if vecs != previous:            # an unchanged archive keeps its score
+            previous = vecs
+            eps = epsilon_dominance(vecs, final) if vecs else 1.0
+        trace.append({
             "iteration": it,
             "elapsed_s": elapsed,
-            "epsilon": 1.0 if not vecs else epsilon_dominance(vecs, final),
+            "epsilon": eps,
             "archive_size": len(vecs),
-        }
-        for it, elapsed, vecs in snapshots
-    ]
+        })
     return ExploreResult(
         mode=mode,
         seed=seed,

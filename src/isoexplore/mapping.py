@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from random import Random
@@ -101,7 +102,6 @@ class MappingResult:
     instances: tuple[RoutedInstance, ...]
     feasible: bool
     reason: str | None = None
-    genotype: Genotype | None = None
     budget: BudgetAssignment | None = None
     tuples: TupleSet | None = None
     task_wcrt: dict[str, int] = field(default_factory=dict)
@@ -269,10 +269,10 @@ def resource_usage(
     return usage
 
 
-def _coeff(cfg: TMapping, name: str):
+def _coeff(cfg: TMapping, name: str) -> float:
     if name not in cfg:
         raise MissingCoefficient(name)
-    return cfg[name]
+    return float(cfg[name])
 
 
 def energy(
@@ -281,16 +281,19 @@ def energy(
     instances: Sequence[RoutedInstance],
     usage: float,
 ) -> float:
-    """Affine energy surrogate per iteration of each element."""
+    """Affine energy surrogate per iteration of each element.
+
+    Summed in floats; a total that overflows raises ValidationError, so
+    that every objective stays finite."""
     arch = spec.architecture
     cfg = arch.energy
-    dyn_map = _coeff(cfg, "dynamic_per_core_type")
+    dyn_map = cfg.get("dynamic_per_core_type", {})
     total = _coeff(cfg, "static_per_core") * usage
     for t in spec.application.tasks:
         core = arch.core(bindings[t.id])
         if core.core_type not in dyn_map:
             raise MissingCoefficient(f"dynamic_per_core_type[{core.core_type}]")
-        total += dyn_map[core.core_type] * (t.wcet[core.core_type] / 1000.0)
+        total += float(dyn_map[core.core_type]) * (t.wcet[core.core_type] / 1000.0)
     if instances:
         per_hop = _coeff(cfg, "e_link") + _coeff(cfg, "e_router")
         per_word = _coeff(cfg, "e_bus_src") + _coeff(cfg, "e_bus_dst")
@@ -298,7 +301,26 @@ def energy(
             flits = arch.noc.flits_for(inst.message.payload_bytes)
             total += flits * inst.hops * per_hop
             total += inst.message.mem_demand * per_word
+    if not math.isfinite(total):
+        raise ValidationError(
+            "architecture.energy: coefficients so large that a mapping's energy overflows"
+        )
     return total
+
+
+def _least_weight(tables: dict, key: tuple, search, *args) -> int:
+    """`search(*args)`, kept in the spec's tables under `key`. An infeasible
+    search is kept as its reason and raised afresh on every lookup."""
+    w = tables.get(key)
+    if w is None:
+        try:
+            w = search(*args)
+        except Infeasible as exc:
+            w = str(exc)
+        tables[key] = w
+    if isinstance(w, str):
+        raise Infeasible(w)
+    return w
 
 
 def _build(
@@ -307,7 +329,6 @@ def _build(
     flagged_cores: set[str],
     flagged_tiles: set[str],
     mode: ExplorationMode,
-    genotype: Genotype | None,
 ) -> MappingResult:
     arch = spec.architecture
     app = spec.application
@@ -338,22 +359,25 @@ def _build(
         schemes=schemes,
         instances=instances,
         feasible=True,
-        genotype=genotype,
     )
 
     eff_md = effective_mem_demand(app, bindings, lambda c: arch.tile_of_core(c).id)
+    tables = spec.tables
     task_weights: dict[str, int] = {}
     message_weights: dict[InstanceKey, int] = {}
     try:
         for t in app.tasks:
             core = arch.core(bindings[t.id])
-            tile = arch.tile(core.tile_id)
-            task_weights[t.id] = scheduling.min_task_weight(
-                t.period, t.wcet[core.core_type], eff_md[t.id], tile
+            task_weights[t.id] = _least_weight(
+                tables, (t.id, core.core_type, core.tile_id, eff_md[t.id]),
+                scheduling.min_task_weight,
+                t.period, t.wcet[core.core_type], eff_md[t.id], arch.tile(core.tile_id),
             )
         for inst in instances:
             m = inst.message
-            message_weights[inst.key] = scheduling.min_message_weight(
+            message_weights[inst.key] = _least_weight(
+                tables, (m.id, inst.src_tile, inst.dst_tile),
+                scheduling.min_message_weight,
                 m.period,
                 m.mem_demand,
                 arch.noc.flits_for(m.payload_bytes),
@@ -452,7 +476,7 @@ def decode(
             for t, bit in zip(spec.architecture.tiles, genotype.tile_flags)
             if bit
         }
-    return _build(spec, bindings, cores, tiles, mode, genotype)
+    return _build(spec, bindings, cores, tiles, mode)
 
 
 def from_bindings(
@@ -481,7 +505,7 @@ def from_bindings(
     for t in reserved_tiles:
         if t not in {x.id for x in arch.tiles}:
             raise ValidationError(f"mapping: unknown tile {t!r} in tile_flags")
-    return _build(spec, dict(bindings), set(reserved_cores), set(reserved_tiles), mode, None)
+    return _build(spec, dict(bindings), set(reserved_cores), set(reserved_tiles), mode)
 
 
 def load_mapping_doc(spec: ProblemSpec, doc: dict) -> MappingResult:

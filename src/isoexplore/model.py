@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 NS_PER_US = 1000
+# Scalar energy coefficients; dynamic_per_core_type maps core types to more.
+ENERGY_COEFFICIENTS = ("static_per_core", "e_link", "e_router", "e_bus_src", "e_bus_dst")
 
 
 # ---------------------------------------------------------------- application
@@ -405,6 +408,16 @@ class ProblemSpec:
             out[e.task].append(e.core)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def tables(self) -> dict:
+        """Decode results that depend on this spec alone, filled on first use
+        by the mapping and scheduling layers. Keys: (task id, core type, tile
+        id, effective memory demand) -> least task weight; (message id,
+        source tile, destination tile) -> least transfer weight; tile id ->
+        its extended (bus, core) policies. An infeasible weight search is
+        kept as its reason text."""
+        return {}
+
 
 # ------------------------------------------------------------ parse and emit
 
@@ -443,6 +456,14 @@ def _ns_from_us(val: Any, what: str) -> int:
     if abs(ns - round(ns)) > 1e-6:
         raise SpecSyntaxError(f"{what} must be a whole number of nanoseconds, got {val!r}")
     return round(ns)
+
+
+def _coefficient(val: Any, what: str) -> None:
+    """An energy coefficient: a finite number >= 0 (never a bool)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SpecSyntaxError(f"{what} must be a number, got {val!r}")
+    if not 0 <= val <= sys.float_info.max:
+        raise ValidationError(f"{what} must be a finite number >= 0, got {val!r}")
 
 
 def _policy(
@@ -634,6 +655,14 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
     energy = obj.get("energy", {})
     if not isinstance(energy, dict):
         raise SpecSyntaxError("architecture.energy must be an object")
+    for name in ENERGY_COEFFICIENTS:
+        if name in energy:
+            _coefficient(energy[name], f"architecture.energy.{name}")
+    dynamic = energy.get("dynamic_per_core_type", {})
+    if not isinstance(dynamic, dict):
+        raise SpecSyntaxError("architecture.energy.dynamic_per_core_type must be an object")
+    for core_type, val in dynamic.items():
+        _coefficient(val, f"architecture.energy.dynamic_per_core_type[{core_type}]")
     return ArchitectureGraph(mesh=mesh, tiles=tuple(tiles), noc=noc, energy=energy)
 
 

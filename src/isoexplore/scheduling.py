@@ -216,6 +216,7 @@ def refine_tuples(
 
     ts = TupleSet({}, {}, {}, {}, {}, {}, {}, {}, {})
     lp = spec.architecture.noc.link_policy
+    tables = spec.tables
 
     for tile in arch.tiles:
         hosting = [c for c in tile.cores if c.id in tasks_on_core]
@@ -224,7 +225,11 @@ def refine_tuples(
         if not hosting and not outbound and not inbound:
             continue
 
-        bus_policy = extended_bus_policy(tile)
+        policies = tables.get(tile.id)
+        if policies is None:
+            policies = tables[tile.id] = (
+                extended_bus_policy(tile), extended_core_policy(tile))
+        bus_policy, core_policy = policies
         k_bus = bus_policy.capacity
         if tile.id in reserved_tiles and bus_policy.work_conserving:
             idle = sum(1 for c in tile.cores if c.id not in tasks_on_core)
@@ -233,7 +238,6 @@ def refine_tuples(
         for core in hosting:
             ts.core_bus[core.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
 
-        core_policy = extended_core_policy(tile)
         for core in hosting:
             weights = [task_weights[t] for t in tasks_on_core[core.id]]
             if core.id in exclusive_cores:

@@ -395,6 +395,44 @@ def test_fractional_nanoseconds_exit_2(spec_path, mapping_path, tmp_path, capsys
     assert "whole number of nanoseconds" in err and "Traceback" not in err
 
 
+BAD_ENERGY = {
+    "static-string": ("static_per_core", "a"),
+    "list": ("e_bus_src", [1]),
+    "nan": ("e_link", float("nan")),
+    "infinity": ("e_router", float("inf")),
+    "bool": ("e_bus_dst", True),
+    "negative": ("static_per_core", -1000.0),
+    "dynamic-string": ("dynamic_per_core_type", "x"),
+    "dynamic-null": ("dynamic_per_core_type", {"gp": None, "dsp": 0.7, "io": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENERGY))
+def test_bad_energy_coefficient_exits_2(tmp_path, capsys, case):
+    field, value = BAD_ENERGY[case]
+    doc = json.loads(emit_spec(generate_spec("consumer", (2, 2), 0)))
+    doc["architecture"]["energy"][field] = value
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["explore", "--spec", str(bad), "--iterations", "3",
+                 "--population", "10", "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"architecture.energy.{field}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("static_per_core", 1e308),
+                                          ("e_link", 10 ** 308)], ids=["float", "int"])
+def test_energy_overflow_exits_2(tmp_path, capsys, field, value):
+    doc = json.loads(emit_spec(generate_spec("consumer", (2, 2), 0)))
+    doc["architecture"]["energy"].update({field: value, "e_router": value})
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["explore", "--spec", str(bad), "--iterations", "3",
+                 "--population", "10", "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "energy overflows" in err and "Traceback" not in err
+
+
 def test_malformed_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"application": 5}')

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from isoexplore.dse import (
     ComparisonResult,
+    _fast_nondominated_sort,
     ParetoArchive,
     compare_approaches,
     derive_seed,
@@ -102,6 +103,65 @@ def test_epsilon_zero_iff_front_covers_reference():
     front = [(1, 4), (4, 1)]
     assert epsilon_dominance(front, [(2, 4), (4, 2)]) == 0.0
     assert epsilon_dominance(front, [(1, 1)]) > 0.0
+
+
+def pairwise_epsilon(front, reference):
+    """The indicator as defined: the worst reference point's best cover."""
+    eps = 0.0
+    for s in reference:
+        best = min(max((1.0 - so / fo) for so, fo in zip(s, f)) for f in front)
+        eps = max(eps, best)
+    return max(0.0, eps)
+
+
+objective = st.one_of(st.integers(1, 40),
+                      st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False))
+positive_front = st.lists(st.tuples(objective, objective, objective), min_size=1, max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(positive_front, positive_front)
+def test_epsilon_equals_the_pairwise_definition_bitwise(front, reference):
+    assert repr(epsilon_dominance(front, reference)) == repr(
+        pairwise_epsilon(front, reference))
+
+
+# -------------------------------------------------------------------- ranking
+
+
+def pairwise_fronts(vectors):
+    """Deb et al.'s fast non-dominated sort, testing every pair both ways."""
+    n = len(vectors)
+    dominated_by = [[] for _ in range(n)]
+    counts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(vectors[i], vectors[j]):
+                dominated_by[i].append(j)
+                counts[j] += 1
+            elif dominates(vectors[j], vectors[i]):
+                dominated_by[j].append(i)
+                counts[i] += 1
+    fronts = [[i for i in range(n) if counts[i] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+    return fronts[:-1]
+
+
+tie_heavy_vector = st.tuples(st.integers(1, 4), st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                             st.sampled_from([1, 2.5, 3.0, 7.25]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(tie_heavy_vector, max_size=40))
+def test_one_way_ranking_matches_the_pairwise_sort(vectors):
+    assert _fast_nondominated_sort(vectors) == pairwise_fronts(vectors)
 
 
 # -------------------------------------------------------------------- archive

@@ -1,0 +1,54 @@
+"""Pinned explorer outputs: any change to decode, ranking, selection or the
+epsilon trace that moves one archive entry or one trace value fails here."""
+
+import csv
+import hashlib
+import io
+import json
+
+from isoexplore.cli import main
+from isoexplore.dse import compare_approaches
+from isoexplore.generator import generate_spec
+
+EXPLORE_ARCHIVE_SHA1 = "8db3bdc82625b6e064fe61ad33671a9ae5febe97"
+EXPLORE_TRACE_SHA1 = "ee8084cf887aa0cfdffc8614879d2ee86be51df5"
+COMPARE_FRONTS_SHA1 = "d8809dcfcecb17b4a7c9f6eccff40efea52db4ea"
+COMPARE_EPSILON = {
+    "IsolationAware": ["0.26302116998159397"],
+    "FixedCS": ["0.9250586553528918"],
+    "FixedCR": ["0.7666666666666667"],
+    "FixedTR": ["0.9125"],
+}
+
+
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def test_cli_explore_outputs_are_pinned(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    assert main(["generate", "--profile", "consumer", "--mesh", "4x4",
+                 "--seed", "1", "--out", str(spec_file)]) == 0
+    out = tmp_path / "run"
+    assert main(["explore", "--spec", str(spec_file), "--seed", "42",
+                 "--format", "json", "--out-dir", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO((out / "trace.csv").read_text())))
+    assert rows[0][1] == "elapsed_s"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(r[:1] + r[2:] for r in rows)
+    assert sha1((out / "archive.json").read_bytes()) == EXPLORE_ARCHIVE_SHA1
+    assert sha1(buf.getvalue().encode()) == EXPLORE_TRACE_SHA1
+
+
+def test_compare_fronts_and_epsilons_are_pinned():
+    res = compare_approaches(
+        generate_spec("networking", (4, 4), 1), seed=7, repetitions=1,
+        iterations=40, population=30, offspring=15,
+    )
+    fronts = json.dumps(
+        {"fronts": {f"{m}/{r}": v for (m, r), v in res.fronts.items()},
+         "references": res.references},
+        sort_keys=True,
+    )
+    assert sha1(fronts.encode()) == COMPARE_FRONTS_SHA1
+    assert {m: [repr(e) for e in v] for m, v in res.epsilon.items()} == COMPARE_EPSILON

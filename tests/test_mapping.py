@@ -317,3 +317,42 @@ def test_complete_dag_decodes():
                                for k, t in enumerate(spec.application.tasks)})
     assert res.feasible and not res.transfer_wctt        # every transfer is local
     assert res.makespan == sum(res.task_wcrt.values())   # the chain through all
+
+
+# ------------------------------------------------------------ per-spec tables
+
+
+def tight_spec_text() -> str:
+    """Networking 2x2 with deadlines cut so that the least-weight searches of
+    many tasks and of two messages find no weight within capacity."""
+    doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 3)))
+    for t in doc["application"]["tasks"]:
+        t["period_us"] //= 13
+    for m in doc["application"]["messages"][::8]:
+        m["period_us"] //= 500
+    return json.dumps(doc)
+
+
+TABLE_SPECS = {
+    **{p: emit_spec(generate_spec(p, (4, 4), 0)) for p in ("consumer", "networking", "telecom")},
+    "tight": tight_spec_text(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_warm_tables_decode_like_a_fresh_spec(name):
+    text = TABLE_SPECS[name]
+    warm = parse_spec(text)
+    rng = Random(5)
+    modes = list(ExplorationMode)
+    reasons = set()
+    for i in range(300):
+        g = random_genotype(warm, rng)
+        mode = modes[i % len(modes)]
+        doc = decode(warm, g, mode).to_doc()
+        assert doc == decode(parse_spec(text), g, mode).to_doc()
+        reasons.add(" ".join(doc.get("reason", "feasible").split()[:3]))
+    assert warm.tables
+    if name == "tight":
+        # failed searches are kept in the tables too
+        assert {"feasible", "no core weight", "no transfer weight"} <= reasons

@@ -251,6 +251,39 @@ def test_validation_errors(edit, hint):
         parse(mutated(edit))
 
 
+ENERGY = {"dynamic_per_core_type": {"gp": 0.9}, "static_per_core": 3, "e_link": 0.02,
+          "e_router": 0.03, "e_bus_src": 0.01, "e_bus_dst": 0.01}
+
+
+def with_energy(**changes) -> dict:
+    return mutated(lambda d: d["architecture"].update(energy={**ENERGY, **changes}))
+
+
+def test_energy_coefficients_parse():
+    assert parse(with_energy()).architecture.energy == ENERGY
+    assert parse(with_energy(static_per_core=0)).architecture.energy["static_per_core"] == 0
+    assert parse(mutated(lambda d: None)).architecture.energy == {}
+
+
+@pytest.mark.parametrize("changes, error, field", [
+    ({"static_per_core": "a"}, SpecSyntaxError, "static_per_core"),
+    ({"e_bus_src": [1]}, SpecSyntaxError, "e_bus_src"),
+    ({"e_bus_dst": True}, SpecSyntaxError, "e_bus_dst"),
+    ({"e_link": None}, SpecSyntaxError, "e_link"),
+    ({"e_link": float("nan")}, ValidationError, "e_link"),
+    ({"e_router": float("inf")}, ValidationError, "e_router"),
+    ({"e_router": 10 ** 400}, ValidationError, "e_router"),
+    ({"static_per_core": -1000.0}, ValidationError, "static_per_core"),
+    ({"dynamic_per_core_type": "x"}, SpecSyntaxError, "dynamic_per_core_type"),
+    ({"dynamic_per_core_type": {"gp": None}}, SpecSyntaxError, r"dynamic_per_core_type\[gp\]"),
+    ({"dynamic_per_core_type": {"gp": -0.5}}, ValidationError, r"dynamic_per_core_type\[gp\]"),
+], ids=["string", "list", "bool", "null", "nan", "infinity", "huge-int", "negative",
+        "dynamic-string", "dynamic-null", "dynamic-negative"])
+def test_rejects_bad_energy_coefficients(changes, error, field):
+    with pytest.raises(error, match=f"architecture.energy.{field}"):
+        parse(with_energy(**changes))
+
+
 def test_edge_list_contradicting_src_is_rejected():
     def edit(doc):
         doc["application"]["edges"] = [{"src": "b", "dst": "m"}]

@@ -62,13 +62,29 @@ def min_task_weight(
 
     `demand` is the weight-independent numerator (execution + memory service
     + bus stalls); only the preemption term varies with the weight.
+
+    Up to `top` the stall, a product of two non-negative factors that shrink
+    as the weight grows, is non-increasing: the search doubles the weight,
+    then bisects, so weights 1 and 2 take a linear search's probes and any
+    other O(log capacity). Above `top` (a period shorter than its slots,
+    which no policy yields) it goes one by one. Written out here and in
+    `min_msg_weight`: a callback per probe doubled the cost of a search.
     """
-    for w in range(1, capacity + 1):
+    top = min(core_period // core_slot, capacity)
+    lo, hi = 0, capacity + 1        # fails at lo (0: none tried); meets at hi
+    while hi - lo > 1:
+        if hi <= capacity:
+            w = (lo + hi) // 2
+        elif lo < top:
+            w = (2 * lo if 2 * lo < top else top) or 1
+        else:
+            w = lo + 1
         budget = w * core_slot
-        resp = demand + ceil_div(demand, budget) * (core_period - budget)
-        if resp <= deadline:
-            return w
-    return 0
+        if demand + ceil_div(demand, budget) * (core_period - budget) <= deadline:
+            hi = w
+        else:
+            lo = w
+    return hi if hi <= capacity else 0
 
 
 def msg_bus_slots(md: int, bus_slot: int, st: int) -> int:
@@ -151,13 +167,24 @@ def min_msg_weight(
     link_period: int,
     capacity: int,
 ) -> int:
-    """Least shared TX/route/RX weight meeting the deadline, 0 if none."""
-    for w in range(1, capacity + 1):
-        total = msg_traversal(
+    """Least shared TX/route/RX weight meeting the deadline, 0 if none,
+    searched as in `min_task_weight` (a routed transfer has a hop, so every
+    stall term shrinks with the weight up to the shortest period in slots)."""
+    top = min(tx_period // tx_slot, rx_period // rx_slot, link_period // cycle, capacity)
+    lo, hi = 0, capacity + 1        # fails at lo (0: none tried); meets at hi
+    while hi - lo > 1:
+        if hi <= capacity:
+            w = (lo + hi) // 2
+        elif lo < top:
+            w = (2 * lo if 2 * lo < top else top) or 1
+        else:
+            w = lo + 1
+        if msg_traversal(
             tx_fixed, tx_rounds, tx_slot, tx_period,
             rx_fixed, rx_rounds, rx_slot, rx_period,
             flits, hops, router_delay, cycle, w, link_period,
-        )
-        if total <= deadline:
-            return w
-    return 0
+        ) <= deadline:
+            hi = w
+        else:
+            lo = w
+    return hi if hi <= capacity else 0

@@ -86,10 +86,7 @@ class RoutedInstance:
     dst_tile: str
     links: tuple[str, ...]
     hops: int
-
-    @property
-    def key(self) -> InstanceKey:
-        return (self.message.id, self.consumer)
+    key: InstanceKey                # (message id, consumer)
 
 
 @dataclass
@@ -234,6 +231,7 @@ def route_instances(
                     dst_tile=dst_tile.id,
                     links=links,
                     hops=len(links) + arch.noc.route_hop_offset,
+                    key=(m.id, consumer),
                 )
             )
     return tuple(out)

@@ -702,6 +702,17 @@ def _us(ns: int) -> float | int:
     return int(val) if val == int(val) else val
 
 
+def _policy_doc(policy: ArbitrationPolicy, suffix: str) -> dict:
+    """Inverse of `_policy`: time fields in microseconds for "_us", else in
+    nanoseconds; the slot length only where the policy has one."""
+    conv = _us if suffix == "_us" else (lambda ns: ns)
+    doc = {} if policy.slot_len is None else {f"slot_len{suffix}": conv(policy.slot_len)}
+    doc[f"arb_delay{suffix}"] = conv(policy.arb_delay)
+    doc["capacity"] = policy.capacity
+    doc["work_conserving"] = policy.work_conserving
+    return doc
+
+
 def emit_spec(spec: ProblemSpec) -> str:
     """Serialize back to document JSON; parse(emit(s)) is structurally equal."""
     app = spec.application
@@ -711,39 +722,19 @@ def emit_spec(spec: ProblemSpec) -> str:
     tiles_doc = []
     for tile in arch.tiles:
         if tile.type_name not in tile_types:
-            cp = tile.cores[0].policy
-            bp = tile.bus_policy
             tile_types[tile.type_name] = {
                 "name": tile.type_name,
                 "cores": len(tile.cores),
                 "core_type": tile.cores[0].core_type,
-                "core_policy": {
-                    "slot_len_us": _us(cp.slot_len),
-                    "arb_delay_us": _us(cp.arb_delay),
-                    "capacity": cp.capacity,
-                    "work_conserving": cp.work_conserving,
-                },
+                "core_policy": _policy_doc(tile.cores[0].policy, "_us"),
                 "memories": [
                     {"service_time_ns": m.service_time} for m in tile.memories
                 ],
-                "bus_policy": {
-                    "slot_len_ns": bp.slot_len,
-                    "arb_delay_ns": bp.arb_delay,
-                    "capacity": bp.capacity,
-                    "work_conserving": bp.work_conserving,
-                },
+                "bus_policy": _policy_doc(tile.bus_policy, "_ns"),
                 "bus_master_weight": tile.bus_master_weight,
                 "na": {
-                    "tx": {
-                        "arb_delay_ns": tile.tx_policy.arb_delay,
-                        "capacity": tile.tx_policy.capacity,
-                        "work_conserving": tile.tx_policy.work_conserving,
-                    },
-                    "rx": {
-                        "arb_delay_ns": tile.rx_policy.arb_delay,
-                        "capacity": tile.rx_policy.capacity,
-                        "work_conserving": tile.rx_policy.work_conserving,
-                    },
+                    "tx": _policy_doc(tile.tx_policy, "_ns"),
+                    "rx": _policy_doc(tile.rx_policy, "_ns"),
                 },
             }
         tiles_doc.append({"id": tile.id, "type": tile.type_name, "pos": list(tile.pos)})
@@ -785,12 +776,7 @@ def emit_spec(spec: ProblemSpec) -> str:
             "noc": {
                 "tau_ns": arch.noc.tau,
                 "router_delay_cycles": arch.noc.router_delay,
-                "link_policy": {
-                    "slot_len": arch.noc.link_policy.slot_len,
-                    "arb_delay": arch.noc.link_policy.arb_delay,
-                    "capacity": arch.noc.link_policy.capacity,
-                    "work_conserving": arch.noc.link_policy.work_conserving,
-                },
+                "link_policy": _policy_doc(arch.noc.link_policy, ""),
                 "flit_payload_bytes": arch.noc.flit_payload_bytes,
                 "header_flits": arch.noc.header_flits,
                 "route_hop_offset": arch.noc.route_hop_offset,

@@ -143,7 +143,7 @@ def check_feasibility(
     per_rx: dict[str, int] = {}
     per_link: dict[str, int] = {}
     for inst in instances:
-        w = message_weights[(inst.message.id, inst.consumer)]
+        w = message_weights[inst.key]
         per_tx[inst.src_tile] = per_tx.get(inst.src_tile, 0) + w
         per_rx[inst.dst_tile] = per_rx.get(inst.dst_tile, 0) + w
         for link in inst.links:
@@ -255,17 +255,16 @@ def refine_tuples(
             if not traffic:
                 continue
             bus[tile.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
-            weights = [message_weights[(i.message.id, i.consumer)] for i in traffic]
+            weights = [message_weights[i.key] for i in traffic]
             if tile.id in reserved_tiles and policy.work_conserving:
                 k_na = reduce_capacity(policy, sum(weights))
             else:
                 k_na = policy.capacity
             for inst, w in zip(traffic, weights):
-                out[(inst.message.id, inst.consumer)] = make_tuple(
+                out[inst.key] = make_tuple(
                     policy, w, k_na, slot_len=bus[tile.id].period
                 )
 
     for inst in instances:
-        key = (inst.message.id, inst.consumer)
-        ts.route[key] = make_tuple(lp, message_weights[key])
+        ts.route[inst.key] = make_tuple(lp, message_weights[inst.key])
     return ts

@@ -17,12 +17,23 @@ Supported platform family, validated up front:
   - every duration is a multiple of the link cycle, link arbitration
     carries no switch delay, so all events stay on the cycle grid,
   - message periods are multiples of their producer's period.
+While the tables are built, each one's capacity is checked against the
+trial's event cap before its entries are made: each slot is one table
+entry, and a table longer than the cap could not turn once within it.
+Tiles that host no task and carry no traffic, and links no transfer
+crosses, get no table, so their capacities are not limited.
 
-Adversaries ("phantoms") own exactly the slots the mapping left free;
-reserved tiles and exclusively allocated cores have none. While a shared
-arbiter has no real work pending, its rotation is not simulated; on wake
-the pointer position is adversary-chosen. Both are behaviours a real
-background owner could produce, so observed times stay genuine.
+Each slot-table entry is an owner object that says itself whether the
+arbiter may grant it now (`busy`) and whether it has real work (`real`):
+a queue of jobs, stalled memory words, packets or flits; a TX or RX
+adapter, which holds the bus while one of its windows is open; or a
+phantom. Adversaries ("phantoms") own exactly the slots the mapping left
+free; reserved tiles and exclusively allocated cores have none, and a
+reserved tile's unused bus slots belong to owners whose queue stays empty.
+While a shared arbiter has no real work pending, its rotation is not
+simulated; on wake the pointer position is adversary-chosen. Both are
+behaviours a real background owner could produce, so observed times stay
+genuine.
 """
 
 from __future__ import annotations
@@ -38,15 +49,8 @@ from .mapping import MappingResult, effective_mem_demand
 from .model import ProblemSpec
 from .scheduling import InstanceKey
 
-PHANTOM = "~adv"
-
 PATTERNS = ("front", "spread", "back", "random")
 PHANTOM_LOADS = ("max", "random", "none")
-
-
-def _is_phantom(owner) -> bool:
-    """Slot owners are strings or transfer keys; phantoms are strings."""
-    return isinstance(owner, str) and owner.startswith(PHANTOM)
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ class _SlotArbiter:
     Work-conserving: an idle owner's slot is skipped in zero time and the
     switch delay is charged only when ownership changes hands. Otherwise
     the table is a fixed wall-clock timetable whose idle slots burn time.
-    Rotation is simulated only while real work is pending.
+    Rotation is simulated only while real work is pending. Each owner
+    other than a phantom learns this arbiter as its `arbiter`.
     """
 
     def __init__(
@@ -156,10 +161,7 @@ class _SlotArbiter:
         slot_len: int,
         delay: int,
         work_conserving: bool,
-        pending: Callable[[object, int], bool],
         grant: Callable[[object, int, int], None],
-        any_real: Callable[[], bool],
-        phantom_busy: Callable[[], bool],
     ):
         if not slots:
             raise DomainError("arbiter with an empty slot table")
@@ -169,10 +171,10 @@ class _SlotArbiter:
         self.slot_len = slot_len
         self.delay = delay
         self.work_conserving = work_conserving
-        self.pending = pending
         self.grant = grant
-        self.any_real = any_real
-        self.phantom_busy = phantom_busy
+        self.owners = [o for o in dict.fromkeys(slots) if not o.phantom]
+        for owner in self.owners:
+            owner.arbiter = self
         self.idx = 0
         self.last = None
         self.sleeping = True
@@ -193,38 +195,39 @@ class _SlotArbiter:
         in another owner's slot or the arbiter is work-conserving."""
         span = self.slot_len + self.delay
         start = t - t % span
-        if self.work_conserving or self.slots[(start // span) % len(self.slots)] != owner:
+        if self.work_conserving or self.slots[(start // span) % len(self.slots)] is not owner:
             return None
         return max(t, start + self.delay), start + span
 
-    def _busy(self, owner, t: int) -> bool:
-        if _is_phantom(owner):
-            return self.phantom_busy()
-        return self.pending(owner, t)
+    def _real(self, t: int) -> bool:
+        for owner in self.owners:
+            if owner.real(t):
+                return True
+        return False
 
     def _advance(self, t: int) -> None:
-        if not self.any_real():
+        if not self._real(t):
             self.sleeping = True
             return
         if self.work_conserving:
             for _ in range(len(self.slots)):
                 owner = self.slots[self.idx]
                 self.idx = (self.idx + 1) % len(self.slots)
-                if self._busy(owner, t):
-                    d = self.delay if (self.last is not None and owner != self.last) else 0
+                if owner.busy(t):
+                    d = self.delay if (self.last is not None and owner is not self.last) else 0
                     self.last = owner
                     start = t + d
                     self.eng.push(start + self.slot_len, self._advance)
                     self.grant(owner, start, start + self.slot_len)
                     return
-            if self.any_real():
+            if self._real(t):
                 raise RuntimeError("arbiter stalled with real work pending")
             self.sleeping = True
         else:
             span = self.slot_len + self.delay
             owner = self.slots[(t // span) % len(self.slots)]
             self.eng.push(t + span, self._advance)
-            if self._busy(owner, t):
+            if owner.busy(t):
                 self.last = owner
                 self.grant(owner, t + self.delay, t + span)
 
@@ -232,13 +235,51 @@ class _SlotArbiter:
 # ------------------------------------------------------------------ entities
 
 
+class _Owner:
+    """Slot owner serving one queue: a task's jobs, a core's stalled
+    memory words, one transfer's packets at an adapter or one flow's flits
+    on a link. A reserved slot nobody may use is an owner whose queue is
+    never filled. No owner defines `__len__` or `__bool__`: an owner is
+    what `_Unit.real` returns for "real work", so it must test true."""
+
+    __slots__ = ("queue", "arbiter")
+    phantom = False
+
+    def __init__(self):
+        self.queue: deque = deque()
+        self.arbiter: _SlotArbiter | None = None     # the one whose table holds it
+
+    def busy(self, t: int) -> bool:
+        return bool(self.queue)
+
+    real = busy
+
+    def put(self, item, t: int) -> None:
+        self.queue.append(item)
+        self.arbiter.kick(t)
+
+
+class _Phantom:
+    """Background owner of a slot the mapping left free: busy as the
+    trial's phantom load says. It has no real work, so arbiters never ask
+    it for any, and its empty queue makes its grants move nothing."""
+
+    __slots__ = ("busy",)
+    phantom = True
+    queue = ()
+
+    def __init__(self, busy: Callable[[int], bool]):
+        self.busy = busy
+
+
 class _Job:
     __slots__ = (
         "task_id", "release", "wcet", "offsets", "served", "exec_done",
         "seg_start", "window_end", "outstanding", "done_at", "emits",
+        "owner", "words",
     )
 
-    def __init__(self, task_id, release, wcet, offsets, emits):
+    def __init__(self, task_id, release, wcet, offsets, emits, owner, words):
         self.task_id = task_id
         self.release = release
         self.wcet = wcet
@@ -250,43 +291,45 @@ class _Job:
         self.outstanding = False
         self.done_at = -1
         self.emits = emits              # instance keys to packetize on completion
+        self.owner = owner              # the task's jobs on its core
+        self.words = words              # the core's stalled words on its bus
 
 
 class _Packet:
-    __slots__ = ("key", "release", "words", "moved", "flits", "links")
+    __slots__ = ("key", "release", "words", "moved", "flits", "links", "rx")
 
-    def __init__(self, key, release, words, flits, links):
+    def __init__(self, key, release, words, flits, links, rx):
         self.key = key
         self.release = release
         self.words = words
         self.moved = 0                  # words the current adapter has moved
         self.flits = flits
-        self.links = links
+        self.links = links              # the transfer's owner on each link
+        self.rx = rx                    # and at its RX adapter
 
 
 class _Unit:
-    """TX or RX adapter: windows granted per transfer over the tile bus.
-    A packet whose last word has moved goes on to `step` (inject or deliver)."""
+    """TX or RX adapter, granted windows per transfer by its own arbiter,
+    and the adapter's owner on its tile bus: busy while a window is open,
+    for a transfer or for background traffic, whose words contend on the
+    bus too; real while the open window's transfer has a packet waiting.
+    A packet whose last word has moved goes on to `step` (inject or
+    deliver)."""
 
-    def __init__(self, keys, step: Callable[[_Packet, int], None]):
-        self.flows: dict[InstanceKey, deque[_Packet]] = {k: deque() for k in keys}
+    __slots__ = ("step", "flow", "until", "arbiter")
+    phantom = False
+
+    def __init__(self, step: Callable[[_Packet, int], None]):
         self.step = step
-        self.current: tuple[object, int] | None = None   # flow, window end
-        self.arbiter: _SlotArbiter | None = None
+        self.flow = None                # owner of the open window
+        self.until = 0                  # its end
+        self.arbiter: _SlotArbiter | None = None     # the tile bus
 
-    def active_flow(self, t: int) -> InstanceKey | None:
-        if self.current is not None:
-            flow, until = self.current
-            if t < until and self.flows.get(flow):
-                return flow
-        return None
+    def busy(self, t: int) -> bool:
+        return t < self.until and (self.flow.phantom or bool(self.flow.queue))
 
-    def phantom_window(self, t: int) -> bool:
-        """Background transfer window: its words contend on the bus too."""
-        if self.current is None:
-            return False
-        flow, until = self.current
-        return t < until and _is_phantom(flow)
+    def real(self, t: int) -> _Owner | None:
+        return self.flow if t < self.until and self.flow.queue else None
 
 
 # ----------------------------------------------------------------- scenario
@@ -357,33 +400,31 @@ class _Sim:
             spec.application, mapping.bindings,
             lambda c: self.arch.tile_of_core(c).id,
         )
-        self.instances = {i.key: i for i in mapping.instances}
-        self.job_queues: dict[str, deque[_Job]] = {t.id: deque() for t in spec.application.tasks}
-        self.word_queues: dict[str, deque[_Job]] = {}   # bus master id -> stalled jobs
-        self.core_arbiters: dict[str, _SlotArbiter] = {}
-        self.bus_arbiters: dict[str, _SlotArbiter] = {}
-        self.tx_units: dict[str, _Unit] = {}
-        self.rx_units: dict[str, _Unit] = {}
-        self.links: dict[str, _SlotArbiter] = {}
-        self.flits: dict[str, dict[InstanceKey, deque]] = {}   # link -> flow -> flits
-        self.service: dict[str, int] = {}               # tile -> word service time
+        self.masters: dict[str, tuple[_Owner, _Owner]] = {}  # task -> jobs, core's words
+        self.routes: dict[InstanceKey, tuple] = {}   # transfer -> tx, links, rx, words, flits
         self._build()
         self._release_jobs()
 
     # -- construction
 
-    def _phantom_busy(self) -> bool:
+    def _phantom_busy(self, t: int) -> bool:
         if self.cfg.phantom_load == "max":
             return True
         if self.cfg.phantom_load == "none":
             return False
         return self.rng.random() < 0.7
 
+    def _sized(self, capacity: int, what: str) -> int:
+        """`capacity`, once a slot table that long fits in the event cap."""
+        _require(capacity <= self.cfg.max_events,
+                 f"{what} capacity {capacity} exceeds the event cap {self.cfg.max_events}")
+        return capacity
+
     def _fill(self, slots: list, capacity: int) -> list:
         free = capacity - len(slots)
         if free < 0:
             raise DomainError("slot table exceeds its arbiter capacity")
-        return slots + [f"{PHANTOM}{i}" for i in range(free)]
+        return slots + [_Phantom(self._phantom_busy) for _ in range(free)]
 
     def _build(self) -> None:
         arch, mp = self.arch, self.mapping
@@ -397,99 +438,98 @@ class _Sim:
             in_of.setdefault(inst.dst_tile, []).append(inst)
         weights = mp.budget.task_weights
         msg_weights = mp.budget.message_weights
+        for inst in mp.instances:
+            # its owners at the TX adapter, on each link and at the RX adapter
+            self.routes[inst.key] = (
+                _Owner(), tuple(_Owner() for _ in inst.links), _Owner(),
+                inst.message.mem_demand, arch.noc.flits_for(inst.message.payload_bytes),
+            )
 
         for tile in arch.tiles:
             reserved = tile.id in mp.reserved_tiles
-            self.service[tile.id] = tile.memory.service_time
-            hosting = [c for c in tile.cores if c.id in tasks_on_core]
+            hosting = any(c.id in tasks_on_core for c in tile.cores)
             outbound = out_of.get(tile.id, [])
             inbound = in_of.get(tile.id, [])
             if not hosting and not outbound and not inbound:
                 continue
 
-            # cores
-            for core in hosting:
-                own = [t for t in tasks_on_core[core.id] for _ in range(weights[t])]
-                table = self._fill(own, tuples.core_capacity[core.id])
-                pol = core.policy
-                self.core_arbiters[core.id] = _SlotArbiter(
-                    self.eng, self.rng, table, pol.slot_len, pol.arb_delay,
-                    pol.work_conserving,
-                    pending=lambda o, t, q=self.job_queues: bool(q[o]),
-                    grant=self._core_grant,
-                    any_real=lambda q=self.job_queues, owners=tasks_on_core[core.id]:
-                        any(q[o] for o in owners),
-                    phantom_busy=self._phantom_busy,
+            # adapter units: slot spans one refined bus arbitration period.
+            # Without traffic, the adapter's bus slots are inert on a
+            # reserved tile and background load on a shared one.
+            adapters = []
+            for side, traffic, pol_u, bus, step in (
+                (0, outbound, tile.tx_policy, tuples.tx_bus, self._inject),
+                (2, inbound, tile.rx_policy, tuples.rx_bus, self._delivered),
+            ):
+                if not traffic:
+                    adapters.append(_Owner() if reserved else _Phantom(self._phantom_busy))
+                    continue
+                unit = _Unit(step)
+                adapters.append(unit)
+                cap = (sum(msg_weights[i.key] for i in traffic)
+                       if reserved and pol_u.work_conserving else pol_u.capacity)
+                self._sized(cap, f"{tile.id} {'tx' if side == 0 else 'rx'}")
+                flows = [self.routes[i.key][side] for i in traffic
+                         for _ in range(msg_weights[i.key])]
+                _SlotArbiter(
+                    self.eng, self.rng, self._fill(flows, cap),
+                    bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
+                    grant=lambda o, s, e, u=unit: self._unit_grant(u, o, s, e),
                 )
 
             # tile bus: per-core masters, then TX, then RX. Idle-core slots
             # on reserved tiles either vanish (work-conserving) or stay as
-            # inert owners; adversaries exist on shared tiles only.
+            # inert owners; adversaries exist on shared tiles only. Each
+            # hosting core gets its own table of its tasks' job queues.
             w = tile.bus_master_weight
+            self._sized(tuples.bus_capacity[tile.id], f"{tile.id} bus")
             table = []
             for core in tile.cores:
                 if core.id in tasks_on_core:
-                    table += [f"c:{core.id}"] * w
-                    self.word_queues[f"c:{core.id}"] = deque()
+                    words = _Owner()
+                    table += [words] * w
+                    cap = self._sized(tuples.core_capacity[core.id], f"{core.id} core")
+                    own = []
+                    for t in tasks_on_core[core.id]:
+                        jobs = _Owner()
+                        self.masters[t] = (jobs, words)
+                        own += [jobs] * weights[t]
+                    pol = core.policy
+                    _SlotArbiter(
+                        self.eng, self.rng, self._fill(own, cap),
+                        pol.slot_len, pol.arb_delay, pol.work_conserving,
+                        grant=self._core_grant,
+                    )
                 elif reserved:
                     if not tile.bus_policy.work_conserving:
-                        table += [f"i:{core.id}"] * w
+                        table += [_Owner()] * w
                 else:
-                    table += [f"{PHANTOM}c{core.id}"] * w
-            tx_owner = f"t:{tile.id}" if (outbound or reserved) else f"{PHANTOM}t"
-            rx_owner = f"r:{tile.id}" if (inbound or reserved) else f"{PHANTOM}r"
-            table += [tx_owner] * w + [rx_owner] * w
+                    table += [_Phantom(self._phantom_busy)] * w
+            for owner in adapters:
+                table += [owner] * w
             if len(table) != tuples.bus_capacity[tile.id]:
                 raise DomainError("bus table does not match the refined capacity")
             pol = tile.bus_policy
-            self.bus_arbiters[tile.id] = _SlotArbiter(
+            _SlotArbiter(
                 self.eng, self.rng, table, pol.slot_len, pol.arb_delay,
                 pol.work_conserving,
-                pending=self._bus_pending,
-                grant=self._bus_grant,
-                any_real=lambda tid=tile.id: self._bus_any_real(tid),
-                phantom_busy=self._phantom_busy,
+                grant=lambda o, s, e, st=tile.memory.service_time: self._bus_grant(o, s, st),
             )
-
-            # adapter units: slot spans one refined bus arbitration period
-            for units, traffic, pol_u, bus, step in (
-                (self.tx_units, outbound, tile.tx_policy, tuples.tx_bus, self._inject),
-                (self.rx_units, inbound, tile.rx_policy, tuples.rx_bus, self._delivered),
-            ):
-                if not traffic:
-                    continue
-                unit = _Unit([i.key for i in traffic], step)
-                flows = [i.key for i in traffic for _ in range(msg_weights[i.key])]
-                cap = len(flows) if reserved and pol_u.work_conserving else pol_u.capacity
-                unit.arbiter = _SlotArbiter(
-                    self.eng, self.rng, self._fill(flows, cap),
-                    bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
-                    pending=lambda o, t, u=unit: bool(u.flows.get(o)),
-                    grant=lambda o, s, e, u=unit, tid=tile.id: self._unit_grant(u, tid, o, s, e),
-                    any_real=lambda u=unit: any(u.flows.values()),
-                    phantom_busy=self._phantom_busy,
-                )
-                units[tile.id] = unit
 
         # mesh links: one flit per cycle to the granted flow
         lp = arch.noc.link_policy
-        flows_on_link: dict[str, list[InstanceKey]] = {}
+        if any(inst.links for inst in mp.instances):
+            self._sized(lp.capacity, "link")
+        flows_on_link: dict[str, list[_Owner]] = {}
         for inst in mp.instances:
-            for link in inst.links:
-                flows_on_link.setdefault(link, []).extend(
-                    [inst.key] * msg_weights[inst.key]
-                )
-        for link_id, flows in flows_on_link.items():
-            queues = self.flits[link_id] = {key: deque() for key in flows}
-            self.links[link_id] = _SlotArbiter(
+            for link, owner in zip(inst.links, self.routes[inst.key][1]):
+                flows_on_link.setdefault(link, []).extend([owner] * msg_weights[inst.key])
+        for flows in flows_on_link.values():
+            _SlotArbiter(
                 self.eng, self.rng, self._fill(flows, lp.capacity),
                 self.tau, 0, lp.work_conserving,
-                pending=lambda o, t, q=queues: bool(q.get(o)),
-                grant=lambda o, s, e, lid=link_id: self._link_grant(lid, o, s),
-                any_real=lambda q=queues: any(q.values()),
-                phantom_busy=self._phantom_busy,
+                grant=lambda o, s, e: self._link_grant(o, s),
             )
-
     # -- job lifecycle
 
     def _release_jobs(self) -> None:
@@ -521,30 +561,26 @@ class _Sim:
                 job = _Job(
                     t.id, offset + k * t.period, wcet,
                     _draw_offsets(self.rng, pattern, wcet, md, self.tau), emits,
+                    *self.masters[t.id],
                 )
                 self.eng.push(job.release, lambda now, j=job: self._release(j, now))
         for inst in self.mapping.instances:
             self.result.traversals[inst.key] = []
 
     def _release(self, job: _Job, t: int) -> None:
-        q = self.job_queues[job.task_id]
-        q.append(job)
-        arbiter = self.core_arbiters[self.mapping.bindings[job.task_id]]
-        arbiter.kick(t)
+        owner = job.owner
+        owner.put(job, t)
         # A TDM timetable grants at slot starts only; a job released inside
         # its task's slot runs for the rest of that slot, as the analysis
         # assumes.
-        window = arbiter.window(job.task_id, t) if len(q) == 1 else None
+        window = owner.arbiter.window(owner, t) if len(owner.queue) == 1 else None
         if window:
-            self._core_grant(job.task_id, *window)
+            self._core_grant(owner, *window)
 
-    def _core_grant(self, task_id: str, start: int, end: int) -> None:
-        if _is_phantom(task_id):
+    def _core_grant(self, owner, start: int, end: int) -> None:
+        if not owner.queue:
             return
-        q = self.job_queues[task_id]
-        if not q:
-            return
-        job = q[0]
+        job = owner.queue[0]
         job.window_end = end
         # An in-flight segment event (seg_start >= 0) will pick the new
         # window up itself; restarting here would lose its progress.
@@ -554,10 +590,7 @@ class _Sim:
     def _run_segment(self, job: _Job, t: int) -> None:
         if job.served < len(job.offsets) and job.offsets[job.served] <= job.exec_done:
             job.outstanding = True
-            core_id = self.mapping.bindings[job.task_id]
-            self.word_queues[f"c:{core_id}"].append(job)
-            tile_id = self.arch.core(core_id).tile_id
-            self.bus_arbiters[tile_id].kick(t)
+            job.words.put(job, t)
             return
         if job.exec_done >= job.wcet:
             self._finish(job, t)
@@ -589,7 +622,7 @@ class _Sim:
         job.seg_start = -2
         self.result.responses[job.task_id].append(t - job.release)
         self.result.makespan = max(self.result.makespan, t)
-        q = self.job_queues[job.task_id]
+        q = job.owner.queue
         q.popleft()
         for key in job.emits:
             self._emit_packet(key, t)
@@ -601,96 +634,51 @@ class _Sim:
 
     # -- bus
 
-    def _bus_pending(self, owner: str, t: int) -> bool:
-        if owner.startswith("c:"):
-            return bool(self.word_queues[owner])
-        if owner.startswith("t:"):
-            unit = self.tx_units.get(owner[2:])
-        elif owner.startswith("r:"):
-            unit = self.rx_units.get(owner[2:])
-        else:
-            return False
-        if unit is None:
-            return False
-        return unit.active_flow(t) is not None or unit.phantom_window(t)
-
-    def _bus_any_real(self, tile_id: str) -> bool:
-        tile = self.arch.tile(tile_id)
-        for core in tile.cores:
-            if self.word_queues.get(f"c:{core.id}"):
-                return True
-        tx = self.tx_units.get(tile_id)
-        if tx and tx.active_flow(self.eng.now) is not None:
-            return True
-        rx = self.rx_units.get(tile_id)
-        if rx and rx.active_flow(self.eng.now) is not None:
-            return True
-        return False
-
-    def _bus_grant(self, owner: str, start: int, end: int) -> None:
-        if _is_phantom(owner):
-            return
-        if owner.startswith("c:"):
-            st = self.service[self.arch.core(owner[2:]).tile_id]
-            job = self.word_queues[owner].popleft()
+    def _bus_grant(self, owner, start: int, st: int) -> None:
+        if isinstance(owner, _Unit):
+            flow = owner.real(start)
+            if flow is None:
+                return          # background window, or the window just lapsed
+            packet = flow.queue[0]
+            packet.moved += 1
+            if packet.moved == packet.words:
+                flow.queue.popleft()
+                self.eng.push(start + st, lambda now, p=packet, step=owner.step: step(p, now))
+        elif owner.queue:       # phantoms and inert owners move nothing
+            job = owner.queue.popleft()
             self.eng.push(start + st, lambda now, j=job: self._word_done(j, now))
-            return
-        tile_id = owner[2:]
-        unit = self.tx_units[tile_id] if owner.startswith("t:") else self.rx_units[tile_id]
-        flow = unit.active_flow(start)
-        if flow is None:
-            return          # background window, or the window just lapsed
-        packet = unit.flows[flow][0]
-        packet.moved += 1
-        if packet.moved == packet.words:
-            unit.flows[flow].popleft()
-            self.eng.push(start + self.service[tile_id],
-                          lambda now, p=packet, step=unit.step: step(p, now))
 
-    def _unit_grant(self, unit: _Unit, tile_id: str, flow, start: int, end: int) -> None:
-        unit.current = (flow, end)
-        if not _is_phantom(flow):
-            self.bus_arbiters[tile_id].kick(start)
+    def _unit_grant(self, unit: _Unit, flow, start: int, end: int) -> None:
+        unit.flow, unit.until = flow, end
+        if not flow.phantom:
+            unit.arbiter.kick(start)
 
     # -- transfers
 
     def _emit_packet(self, key: InstanceKey, t: int) -> None:
-        inst = self.instances[key]
-        packet = _Packet(
-            key, t, inst.message.mem_demand,
-            self.arch.noc.flits_for(inst.message.payload_bytes), inst.links,
-        )
-        unit = self.tx_units[inst.src_tile]
-        unit.flows[key].append(packet)
-        unit.arbiter.kick(t)
+        tx, links, rx, words, flits = self.routes[key]
+        tx.put(_Packet(key, t, words, flits, links, rx), t)
 
     def _inject(self, packet: _Packet, t: int) -> None:
         for i in range(packet.flits):
-            self._enqueue(packet.links[0], (packet, i), t)
+            packet.links[0].put((packet, i), t)
 
-    def _enqueue(self, link_id: str, flit, t: int) -> None:
-        self.flits[link_id][flit[0].key].append(flit)
-        self.links[link_id].kick(t)
-
-    def _link_grant(self, link_id: str, flow, t: int) -> None:
-        if _is_phantom(flow):
-            return
-        flit = self.flits[link_id][flow].popleft()
+    def _link_grant(self, owner, t: int) -> None:
+        if not owner.queue:
+            return              # a phantom's grant moves nothing
+        flit = owner.queue.popleft()
         packet, idx = flit
-        pos = packet.links.index(link_id)
+        pos = packet.links.index(owner)
         arrive = t + self.arch.noc.router_delay * self.tau
         if pos + 1 < len(packet.links):
             nxt = packet.links[pos + 1]
-            self.eng.push(arrive, lambda now, f=flit, l=nxt: self._enqueue(l, f, now))
+            self.eng.push(arrive, lambda now, f=flit, o=nxt: o.put(f, now))
         elif idx == packet.flits - 1:
             self.eng.push(arrive, lambda now, p=packet: self._arrived(p, now))
 
     def _arrived(self, packet: _Packet, t: int) -> None:
         packet.moved = 0
-        inst = self.instances[packet.key]
-        unit = self.rx_units[inst.dst_tile]
-        unit.flows[packet.key].append(packet)
-        unit.arbiter.kick(t)
+        packet.rx.put(packet, t)
 
     def _delivered(self, packet: _Packet, t: int) -> None:
         self.result.traversals[packet.key].append(t - packet.release)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled two-tile example and small generated specs."""
+"""Shared fixtures: the bundled two-tile example and small generated specs,
+and a guard on kernel call counts."""
 
 from __future__ import annotations
 
@@ -7,7 +8,21 @@ from importlib import resources
 
 import pytest
 
-from isoexplore import generate_spec, load_mapping_doc, parse_spec
+from isoexplore import generate_spec, kernels, load_mapping_doc, parse_spec
+
+
+def call_budget(monkeypatch, name: str, calls: int = 10_000) -> None:
+    """Fail a search that evaluates `kernels.name` more than `calls` times
+    instead of letting it run through a huge capacity."""
+    inner = getattr(kernels, name)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        assert count[0] <= calls, f"{name} called more than {calls} times"
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
 
 
 def bundled_text(kind: str, name: str) -> str:

@@ -1,11 +1,15 @@
 """Synthetic problem generation: sizes, determinism, simulatability."""
 
+import hashlib
+
 import pytest
 
 from isoexplore.errors import DomainError
 from isoexplore.generator import PROFILES, make_architecture, generate_spec
 from isoexplore.model import emit_spec, end_to_end_paths, parse_spec
 from isoexplore.simoracle import _check_platform
+
+from conftest import bundled_text
 
 
 # -------------------------------------------------------------------- profiles
@@ -141,3 +145,18 @@ def test_generated_spec_round_trips():
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_generated_specs_are_simulatable(profile):
     _check_platform(generate_spec(profile, mesh=(2, 2), seed=2))
+
+
+EMIT_SHA1 = "0c1946b60790f9587d859ed92dd532206cd07043"
+
+
+def test_emit_spec_golden():
+    # Emitted specs feed every benchmark workload: their bytes must not
+    # drift, including the bundled example's microsecond floats.
+    bundled = parse_spec(bundled_text("specs", "join_two_tile.json"))
+    digest = hashlib.sha1(emit_spec(bundled).encode())
+    for profile in sorted(PROFILES):
+        for mesh in ((2, 2), (4, 4)):
+            for seed in range(3):
+                digest.update(emit_spec(generate_spec(profile, mesh, seed)).encode())
+    assert digest.hexdigest() == EMIT_SHA1

@@ -6,10 +6,13 @@ oracle that re-derives its formula without sharing any kernel code.
 
 from fractions import Fraction
 from math import ceil
+from random import Random
 
 from hypothesis import given, settings, strategies as st
 
 from isoexplore import kernels
+
+from conftest import call_budget
 
 
 def exact_ceil(num, den) -> int:
@@ -171,6 +174,88 @@ def test_min_task_weight_is_minimal(deadline, demand, slot, k, delay):
         assert response(w) <= deadline
         if w > 1:
             assert response(w - 1) > deadline
+
+
+# The weight searches must return the first weight a linear search from 1
+# finds, also for a period shorter than its slots, which no policy yields
+# but the kernels accept. Such periods break the ordering the searches
+# bisect on in a few cases per thousand, so each check runs many cases.
+
+
+def first_meeting(bound, deadline: int, capacity: int) -> int:
+    return next((w for w in range(1, capacity + 1) if bound(w) <= deadline), 0)
+
+
+def test_min_task_weight_equals_linear_search():
+    rng = Random(58)
+    for _ in range(4_000):
+        demand, slot = rng.randrange(0, 3_000), rng.randrange(1, 60)
+        period, k = rng.randrange(0, 4_000), rng.randrange(1, 40)
+        deadline = demand + rng.randrange(-6_000, 6_000)
+
+        def response(w: int) -> int:
+            return demand + exact_ceil(demand, w * slot) * (period - w * slot)
+
+        expected = first_meeting(response, deadline, k)
+        assert kernels.min_task_weight(deadline, demand, slot, period, k) == expected
+
+
+def check_msg_weight(slack, fixed, tx_rounds, tx_period, rx_rounds, rx_period,
+                     slot, flits, hops, dr, tau, link_period, k):
+    """Compare at the deadline `slack` off the traversal at weight 1."""
+
+    def traversal(w: int) -> int:
+        tx = fixed + exact_ceil(tx_rounds, w) * (tx_period - w * slot)
+        rx = fixed + exact_ceil(rx_rounds, w) * (rx_period - w * slot)
+        route = ((flits - 1 + hops * dr) * tau
+                 + (exact_ceil(flits, w) - 1 + hops) * (link_period - w * tau))
+        return tx + route + rx
+
+    deadline = traversal(1) + slack
+    assert kernels.min_msg_weight(
+        deadline, fixed, tx_rounds, slot, tx_period, fixed, rx_rounds, slot,
+        rx_period, flits, hops, dr, tau, link_period, k,
+    ) == first_meeting(traversal, deadline, k)
+
+
+def test_min_msg_weight_equals_linear_search():
+    # Rarer here, so pinned: one short period at a time, TX, RX, the link.
+    check_msg_weight(-185933, 0, 2488, 49, 12, 960, 25, 228, 1, 2, 3, 256, 32)
+    check_msg_weight(-234585, 0, 45, 1782, 205, 224, 49, 323, 3, 1, 6, 363, 33)
+    check_msg_weight(-409308, 0, 103, 342, 241, 342, 4, 1858, 1, 1, 15, 163, 38)
+    rng = Random(137)
+    for _ in range(4_000):
+        check_msg_weight(
+            rng.randrange(-3_000, 1_000), rng.randrange(0, 500),
+            rng.randrange(0, 30), rng.randrange(0, 2_000),      # TX rounds, period
+            rng.randrange(0, 30), rng.randrange(0, 2_000),      # RX rounds, period
+            rng.randrange(1, 60), rng.randrange(0, 30), rng.randrange(1, 6),
+            rng.randrange(0, 3), rng.randrange(1, 20), rng.randrange(0, 600),
+            rng.randrange(1, 40),
+        )
+
+
+def test_weight_searches_take_logarithmic_steps_in_capacity(monkeypatch):
+    call_budget(monkeypatch, "ceil_div")
+    call_budget(monkeypatch, "msg_traversal")
+    cap = 10**12
+    slot, delay = 1_000, 100
+    period = cap * (slot + delay)
+    assert kernels.min_task_weight(10**6, 10**6, slot, period, cap) == 0
+    assert kernels.min_msg_weight(
+        10**6, 0, 4, slot, period, 0, 4, slot, period,
+        8, 3, 1, 10, cap * 10, cap) == 0
+
+    # A reachable deadline: the least weight lies deep inside the range.
+    demand = 10**15
+    deadline = 2 * demand
+    w = kernels.min_task_weight(deadline, demand, slot, period, cap)
+
+    def response(x: int) -> int:
+        return demand + exact_ceil(demand, x * slot) * (period - x * slot)
+
+    assert 1 < w < cap
+    assert response(w) <= deadline < response(w - 1)
 
 
 def test_backend_name_is_python():

@@ -8,7 +8,7 @@ import pytest
 from isoexplore import kernels
 from isoexplore.arbitration import ArbitrationTuple
 from isoexplore.errors import Infeasible
-from isoexplore.model import Message, parse_spec
+from isoexplore.model import parse_spec
 from isoexplore.scheduling import (
     BudgetAssignment,
     bus_master_tuple,
@@ -19,6 +19,8 @@ from isoexplore.scheduling import (
     min_task_weight,
     refine_tuples,
 )
+
+from conftest import call_budget
 
 
 def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5):
@@ -80,15 +82,14 @@ def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5):
 class Inst:
     """Just the routed-transfer attributes the budgeting layer reads."""
 
-    message: Message
-    consumer: str
+    key: tuple[str, str]
     src_tile: str
     dst_tile: str
     links: tuple[str, ...]
 
 
 def make_inst(spec, links=("0,0->1,0",)):
-    return Inst(spec.application.messages[0], "b", "t0", "t1", tuple(links))
+    return Inst((spec.application.messages[0].id, "b"), "t0", "t1", tuple(links))
 
 
 # ----------------------------------------------------------- policy extension
@@ -139,6 +140,15 @@ def test_min_task_weight_is_minimal():
 def test_min_task_weight_infeasible():
     tile = make_spec().architecture.tile("t0")
     with pytest.raises(Infeasible):
+        min_task_weight(1_000, 3_000_000, 8, tile)
+
+
+def test_min_task_weight_infeasible_at_huge_capacity(monkeypatch):
+    # The search bisects: ruling out a trillion weights takes a few dozen
+    # evaluations.
+    call_budget(monkeypatch, "ceil_div")
+    tile = make_spec(core_capacity=10**12).architecture.tile("t0")
+    with pytest.raises(Infeasible, match="no core weight within capacity 1000000000000"):
         min_task_weight(1_000, 3_000_000, 8, tile)
 
 
@@ -206,9 +216,7 @@ def test_check_feasibility_transfer_overload(weight, kind):
 def test_check_feasibility_link_overload_is_per_link():
     spec = make_spec()
     a = make_inst(spec)
-    b = Inst(Message(id="m2", src="b", dst="a", period=100_000,
-                     payload_bytes=16, mem_demand=2),
-             "a", "t1", "t0", ("1,0->0,0",))
+    b = Inst(("m2", "a"), "t1", "t0", ("1,0->0,0",))
     res = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
                             {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3})
     assert res.feasible                     # opposite directions never collide

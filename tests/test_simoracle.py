@@ -1,5 +1,8 @@
 """Adversarial discrete-event replay of the analytic bounds."""
 
+import copy
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -9,6 +12,8 @@ from isoexplore.errors import BoundViolation, DomainError
 from isoexplore.mapping import from_bindings, random_genotype, decode
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.simoracle import (
+    PATTERNS,
+    PHANTOM_LOADS,
     TrialConfig,
     adversarial_sweep,
     simulate,
@@ -84,6 +89,37 @@ def test_rejects_message_period_off_producer_grid():
     res = from_bindings(spec, SHARED)
     with pytest.raises(DomainError, match="producer"):
         simulate(spec, res, TrialConfig(seed=1))
+
+
+def test_rejects_capacity_above_event_cap():
+    # Every capacity slot is one slot-table entry: a table longer than the
+    # event cap is refused before any is built.
+    doc = json.loads(emit_spec(
+        generate_spec("networking", mesh=(1, 1), seed=0, tasks=1, messages=0)))
+    doc["architecture"]["tile_types"][0]["core_policy"]["capacity"] = 300
+    doc["application"]["tasks"][0]["period_us"] = 100_000
+    spec = parse_spec(json.dumps(doc))
+    mapping = from_bindings(spec, {"t00": "t0_0.c0"})
+    assert mapping.feasible
+    with pytest.raises(DomainError, match="t0_0.c0 core capacity 300 exceeds the event cap 100"):
+        simulate(spec, mapping, TrialConfig(seed=1, max_events=100))
+    assert simulate(spec, mapping, TrialConfig(seed=1)).events > 0
+
+
+def test_unused_capacities_above_event_cap_are_not_checked():
+    # Only the tables a trial builds count: a tile that hosts no task and
+    # carries no traffic, and links no transfer crosses, have none.
+    doc = json.loads(emit_spec(
+        generate_spec("networking", mesh=(1, 2), seed=0, tasks=1, messages=0)))
+    unused = doc["architecture"]["tile_types"][1]
+    unused["core_policy"]["capacity"] = 300
+    unused["bus_master_weight"] = 50
+    unused["bus_policy"]["capacity"] = 300
+    unused["na"]["tx"]["capacity"] = unused["na"]["rx"]["capacity"] = 300
+    doc["architecture"]["noc"]["link_policy"]["capacity"] = 300
+    spec = parse_spec(json.dumps(doc))
+    mapping = from_bindings(spec, {"t00": "t0_0.c0"})
+    assert simulate(spec, mapping, TrialConfig(seed=1, max_events=100)).events > 0
 
 
 def test_rejects_infeasible_mapping(two_tile_spec):
@@ -282,3 +318,46 @@ def test_violation_carries_replayable_scenario(two_tile_spec, two_tile_shared):
     )
     res = simulate(two_tile_spec, two_tile_shared, cfg)
     assert replay["observed"] in res.responses["t1"]
+
+
+# ------------------------------------------------------------------- corpus
+
+CORPUS_SHA1 = "bbc56ce66513cbe13a12d4e4441cad265434c7f0"
+
+
+def corpus_specs():
+    """The networking 2x2 seed-0 spec under each of the 16 combinations of
+    work-conserving core, bus, TX/RX and link arbitration."""
+    base = json.loads(emit_spec(generate_spec("networking", (2, 2), 0)))
+    for flags in itertools.product((True, False), repeat=4):
+        core, bus, adapter, link = flags
+        doc = copy.deepcopy(base)
+        for tile_type in doc["architecture"]["tile_types"]:
+            tile_type["core_policy"]["work_conserving"] = core
+            tile_type["bus_policy"]["work_conserving"] = bus
+            tile_type["na"]["tx"]["work_conserving"] = adapter
+            tile_type["na"]["rx"]["work_conserving"] = adapter
+        doc["architecture"]["noc"]["link_policy"]["work_conserving"] = link
+        yield parse_spec(json.dumps(doc))
+
+
+def test_simulate_corpus_golden():
+    # Pins every trial of every policy combination: responses, traversals,
+    # event counts and makespans under each phantom load and access
+    # pattern, plus the rows of a short sweep.
+    digest = hashlib.sha1()
+    for spec in corpus_specs():
+        rng = Random(0)
+        mapping = decode(spec, random_genotype(spec, rng))
+        while not mapping.feasible:
+            mapping = decode(spec, random_genotype(spec, rng))
+        for load in PHANTOM_LOADS:
+            for pattern in PATTERNS + ("mix",):
+                res = simulate(spec, mapping, TrialConfig(
+                    seed=0, phantom_load=load, pattern=pattern, jobs=2))
+                digest.update(repr((
+                    sorted(res.responses.items()), sorted(res.traversals.items()),
+                    res.events, res.makespan,
+                )).encode())
+        digest.update(repr(adversarial_sweep(spec, mapping, trials=2).rows()).encode())
+    assert digest.hexdigest() == CORPUS_SHA1

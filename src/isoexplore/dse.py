@@ -50,19 +50,49 @@ def nondominated(vectors: Iterable[Vector]) -> list[Vector]:
     return out
 
 
+def _check_positive(vectors: Iterable[Vector]) -> None:
+    for v in vectors:
+        if any(x <= 0 for x in v):
+            raise DomainError(f"objective vector {v} has a non-positive value")
+
+
 def epsilon_dominance(front: Sequence[Vector], reference: Sequence[Vector]) -> float:
     """Smallest eps in [0, 1) such that scaling the front by (1 - eps)
     covers every reference point in every objective."""
     if not front or not reference:
         raise DomainError("epsilon_dominance needs non-empty fronts")
-    for v in (*front, *reference):
-        if any(x <= 0 for x in v):
-            raise DomainError(f"objective vector {v} has a non-positive value")
-    # 1 - x rounds monotonically, so max_o(1 - s_o/f_o) == 1 - min_o(s_o/f_o)
-    # as floats, and the outer min/max swap the same way.
-    return max(0.0, 1.0 - min(
-        max(min(map(truediv, s, f)) for f in front) for s in reference
-    ))
+    return _trace_epsilons([front], reference)[0]
+
+
+def _trace_epsilons(
+    snapshots: Sequence[Sequence[Vector]], final: Sequence[Vector]
+) -> list[float]:
+    """`epsilon_dominance(snapshot, final)` of each snapshot, 1.0 for an
+    empty one.
+
+    Each distinct vector's ratio row against the final archive,
+    `min(s/f)` for every final vector s, is computed once and reused by
+    every snapshot that holds it; an unchanged snapshot keeps its score.
+    """
+    if not final:
+        raise DomainError("epsilon_dominance needs non-empty fronts")
+    _check_positive(final)
+    rows: dict[Vector, list[float]] = {}
+    out: list[float] = []
+    previous, eps = None, 1.0
+    for vecs in snapshots:
+        if vecs != previous:
+            previous = vecs
+            for f in vecs:
+                if f not in rows:
+                    _check_positive((f,))
+                    rows[f] = [min(map(truediv, s, f)) for s in final]
+            # 1 - x rounds monotonically, so max_o(1 - s_o/f_o) equals
+            # 1 - min_o(s_o/f_o) as floats, and the outer min/max swap the
+            # same way.
+            eps = max(0.0, 1.0 - min(map(max, zip(*(rows[f] for f in vecs))))) if vecs else 1.0
+        out.append(eps)
+    return out
 
 
 class ParetoArchive:
@@ -290,19 +320,11 @@ def explore(
             f"{mode.value}: no feasible mapping in {evaluations} evaluations"
         )
 
-    final = archive.vectors()
-    trace = []
-    previous, eps = None, 1.0
-    for it, elapsed, vecs in snapshots:
-        if vecs != previous:            # an unchanged archive keeps its score
-            previous = vecs
-            eps = epsilon_dominance(vecs, final) if vecs else 1.0
-        trace.append({
-            "iteration": it,
-            "elapsed_s": elapsed,
-            "epsilon": eps,
-            "archive_size": len(vecs),
-        })
+    epsilons = _trace_epsilons([vecs for _, _, vecs in snapshots], archive.vectors())
+    trace = [
+        {"iteration": it, "elapsed_s": elapsed, "epsilon": eps, "archive_size": len(vecs)}
+        for (it, elapsed, vecs), eps in zip(snapshots, epsilons)
+    ]
     return ExploreResult(
         mode=mode,
         seed=seed,

@@ -76,7 +76,7 @@ def xy_route(src_pos: tuple[int, int], dst_pos: tuple[int, int]) -> tuple[str, .
     return tuple(links)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutedInstance:
     """One inter-tile transfer: a message toward one remote consumer."""
 
@@ -190,19 +190,22 @@ class MappingResult:
         return {c.rsplit(".", 1)[0] for c in self.schemes}
 
 
-def effective_mem_demand(app, bindings: TMapping[str, str], tile_of) -> dict[str, int]:
+def effective_mem_demand(
+    app, bindings: TMapping[str, str], tile_of: TMapping[str, str]
+) -> dict[str, int]:
     """Task memory demand plus the local-message reads and writes.
 
-    A message whose consumer sits on the producer's tile is exchanged
-    through the tile memory: the consumer re-reads it, and the producer
-    writes it once if at least one consumer is local.
+    `tile_of` maps each core id to its tile id. A message whose consumer
+    sits on the producer's tile is exchanged through the tile memory: the
+    consumer re-reads it, and the producer writes it once if at least one
+    consumer is local.
     """
     eff = {t.id: t.mem_demand for t in app.tasks}
     for m in app.messages:
-        src_tile = tile_of(bindings[m.src])
+        src_tile = tile_of[bindings[m.src]]
         local = False
         for consumer in m.consumers:
-            if tile_of(bindings[consumer]) == src_tile:
+            if tile_of[bindings[consumer]] == src_tile:
                 local = True
                 eff[consumer] += m.mem_demand
         if local:
@@ -213,27 +216,26 @@ def effective_mem_demand(app, bindings: TMapping[str, str], tile_of) -> dict[str
 def route_instances(
     spec: ProblemSpec, bindings: TMapping[str, str]
 ) -> tuple[RoutedInstance, ...]:
-    """One routed instance per message and remote consumer, XY-routed."""
+    """One routed instance per message and remote consumer, XY-routed.
+
+    Each tile pair's route is computed once per spec and kept in its tables.
+    """
     arch = spec.architecture
+    tile_of = arch.tile_id_of
+    tables = spec.tables
     out: list[RoutedInstance] = []
     for m in spec.application.messages:
-        src_tile = arch.tile_of_core(bindings[m.src])
+        src = tile_of[bindings[m.src]]
         for consumer in m.consumers:
-            dst_tile = arch.tile_of_core(bindings[consumer])
-            if dst_tile.id == src_tile.id:
+            dst = tile_of[bindings[consumer]]
+            if dst == src:
                 continue
-            links = xy_route(src_tile.pos, dst_tile.pos)
-            out.append(
-                RoutedInstance(
-                    message=m,
-                    consumer=consumer,
-                    src_tile=src_tile.id,
-                    dst_tile=dst_tile.id,
-                    links=links,
-                    hops=len(links) + arch.noc.route_hop_offset,
-                    key=(m.id, consumer),
-                )
-            )
+            route = tables.get((src, dst))
+            if route is None:
+                links = xy_route(arch.tile(src).pos, arch.tile(dst).pos)
+                route = tables[(src, dst)] = (
+                    links, len(links) + arch.noc.route_hop_offset)
+            out.append(RoutedInstance(m, consumer, src, dst, *route, (m.id, consumer)))
     return tuple(out)
 
 
@@ -306,18 +308,14 @@ def energy(
     return total
 
 
-def _least_weight(tables: dict, key: tuple, search, *args) -> int:
+def _search(tables: dict, key: tuple, search, *args) -> int | str:
     """`search(*args)`, kept in the spec's tables under `key`. An infeasible
-    search is kept as its reason and raised afresh on every lookup."""
-    w = tables.get(key)
-    if w is None:
-        try:
-            w = search(*args)
-        except Infeasible as exc:
-            w = str(exc)
-        tables[key] = w
-    if isinstance(w, str):
-        raise Infeasible(w)
+    search is kept as its reason, which the caller raises afresh."""
+    try:
+        w = search(*args)
+    except Infeasible as exc:
+        w = str(exc)
+    tables[key] = w
     return w
 
 
@@ -330,18 +328,18 @@ def _build(
 ) -> MappingResult:
     arch = spec.architecture
     app = spec.application
+    tile_of = arch.tile_id_of
 
     hosting_cores = set(bindings.values())
-    hosting_tiles = {arch.tile_of_core(c).id for c in hosting_cores}
+    hosting_tiles = {tile_of[c] for c in hosting_cores}
     reserved_tiles = frozenset(flagged_tiles & hosting_tiles)
     reserved_cores = frozenset(
-        c for c in flagged_cores & hosting_cores
-        if arch.tile_of_core(c).id not in reserved_tiles
+        c for c in flagged_cores & hosting_cores if tile_of[c] not in reserved_tiles
     )
 
     schemes: dict[str, IsolationScheme] = {}
     for core_id in sorted(hosting_cores):
-        if arch.tile_of_core(core_id).id in reserved_tiles:
+        if tile_of[core_id] in reserved_tiles:
             schemes[core_id] = IsolationScheme.TILE_RESERVATION
         elif core_id in reserved_cores:
             schemes[core_id] = IsolationScheme.CORE_RESERVATION
@@ -359,23 +357,29 @@ def _build(
         feasible=True,
     )
 
-    eff_md = effective_mem_demand(app, bindings, lambda c: arch.tile_of_core(c).id)
+    eff_md = effective_mem_demand(app, bindings, tile_of)
     tables = spec.tables
     task_weights: dict[str, int] = {}
     message_weights: dict[InstanceKey, int] = {}
+    # A weight is looked up before the search's arguments are evaluated;
+    # no stored weight is 0 and no stored reason is empty.
     try:
         for t in app.tasks:
             core = arch.core(bindings[t.id])
-            task_weights[t.id] = _least_weight(
-                tables, (t.id, core.core_type, core.tile_id, eff_md[t.id]),
-                scheduling.min_task_weight,
-                t.period, t.wcet[core.core_type], eff_md[t.id], arch.tile(core.tile_id),
+            md = eff_md[t.id]
+            key = (t.id, core.core_type, core.tile_id, md)
+            w = tables.get(key) or _search(
+                tables, key, scheduling.min_task_weight,
+                t.period, t.wcet[core.core_type], md, arch.tile(core.tile_id),
             )
+            if isinstance(w, str):
+                raise Infeasible(w)
+            task_weights[t.id] = w
         for inst in instances:
             m = inst.message
-            message_weights[inst.key] = _least_weight(
-                tables, (m.id, inst.src_tile, inst.dst_tile),
-                scheduling.min_message_weight,
+            key = (m.id, inst.src_tile, inst.dst_tile)
+            w = tables.get(key) or _search(
+                tables, key, scheduling.min_message_weight,
                 m.period,
                 m.mem_demand,
                 arch.noc.flits_for(m.payload_bytes),
@@ -384,6 +388,9 @@ def _build(
                 arch.tile(inst.dst_tile),
                 arch.noc,
             )
+            if isinstance(w, str):
+                raise Infeasible(w)
+            message_weights[inst.key] = w
     except Infeasible as exc:
         result.feasible = False
         result.reason = str(exc)
@@ -497,22 +504,36 @@ def from_bindings(
     for name in bindings:
         if name not in spec.application._tasks_by_id:
             raise ValidationError(f"mapping: unknown task {name!r}")
-    for c in reserved_cores:
-        if c not in {x.id for x in arch.cores}:
-            raise ValidationError(f"mapping: unknown core {c!r} in core_flags")
-    for t in reserved_tiles:
-        if t not in {x.id for x in arch.tiles}:
-            raise ValidationError(f"mapping: unknown tile {t!r} in tile_flags")
+    _check_ids(reserved_cores, arch._cores_by_id, "core", "core_flags")
+    _check_ids(reserved_tiles, arch._tiles_by_id, "tile", "tile_flags")
     return _build(spec, dict(bindings), set(reserved_cores), set(reserved_tiles), mode)
+
+
+def _check_ids(ids, known: TMapping, what: str, field_name: str) -> None:
+    for i in ids:
+        if i not in known:
+            raise ValidationError(f"mapping: unknown {what} {i!r} in {field_name}")
+
+
+def _reserved_ids(doc: dict, field_name: str, what: str, known: TMapping) -> set[str]:
+    """Ids that a document's flag map marks reserved. Each key must be a
+    known id and each value "reserved" or "shared"."""
+    flags = doc.get(field_name, {})
+    if not isinstance(flags, dict):
+        raise ValidationError(f"mapping document field {field_name!r} must be an object")
+    _check_ids(flags, known, what, field_name)
+    for i, v in flags.items():
+        if v not in ("reserved", "shared"):
+            raise ValidationError(
+                f'mapping: {field_name}[{i!r}] must be "reserved" or "shared", got {v!r}')
+    return {i for i, v in flags.items() if v == "reserved"}
 
 
 def load_mapping_doc(spec: ProblemSpec, doc: dict) -> MappingResult:
     """Build from a mapping document: bindings plus optional flag maps."""
     if not isinstance(doc, dict) or not isinstance(doc.get("bindings"), dict):
         raise ValidationError("mapping document needs a 'bindings' object")
-    for key in ("core_flags", "tile_flags"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ValidationError(f"mapping document field {key!r} must be an object")
-    cores = {c for c, v in doc.get("core_flags", {}).items() if v == "reserved"}
-    tiles = {t for t, v in doc.get("tile_flags", {}).items() if v == "reserved"}
+    arch = spec.architecture
+    cores = _reserved_ids(doc, "core_flags", "core", arch._cores_by_id)
+    tiles = _reserved_ids(doc, "tile_flags", "tile", arch._tiles_by_id)
     return from_bindings(spec, doc["bindings"], cores, tiles)

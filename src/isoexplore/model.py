@@ -338,15 +338,17 @@ class ArchitectureGraph:
     def core(self, core_id: str) -> Core:
         return self._cores_by_id[core_id]
 
-    def tile_of_core(self, core_id: str) -> Tile:
-        return self._tiles_by_id[self._cores_by_id[core_id].tile_id]
-
     def tile_at(self, pos: tuple[int, int]) -> Tile:
         return self._tiles_by_pos[pos]
 
     @cached_property
     def cores(self) -> tuple[Core, ...]:
         return tuple(c for t in self.tiles for c in t.cores)
+
+    @cached_property
+    def tile_id_of(self) -> dict[str, str]:
+        """Core id -> id of the tile that holds the core."""
+        return {c.id: t.id for t in self.tiles for c in t.cores}
 
     @cached_property
     def _tiles_by_id(self) -> dict[str, Tile]:
@@ -411,11 +413,24 @@ class ProblemSpec:
     @cached_property
     def tables(self) -> dict:
         """Decode results that depend on this spec alone, filled on first use
-        by the mapping and scheduling layers. Keys: (task id, core type, tile
-        id, effective memory demand) -> least task weight; (message id,
-        source tile, destination tile) -> least transfer weight; tile id ->
-        its extended (bus, core) policies. An infeasible weight search is
-        kept as its reason text."""
+        by the mapping and scheduling layers and dropped with the spec. Each
+        kind of key has its own shape:
+
+          (task id, core type, tile id, effective memory demand)
+              -> least task weight, or the reason text of a failed search
+          (message id, source tile id, destination tile id)
+              -> least transfer weight, or the reason text of a failed search
+          (source tile id, destination tile id)
+              -> XY route between the tiles: (link ids, hops)
+          tile id
+              -> the tile's extended (bus, core) policies
+          (kind, tile id, weight, effective capacity), kind "bus" or "core"
+              -> arbitration tuple of a bus master or a task on its core
+          (kind, tile id, weight, effective capacity, bus capacity), kind
+          "tx" or "rx" -> arbitration tuple of a transfer on the adapter,
+              whose slot is the period of the bus at that capacity
+          ("route", weight) -> arbitration tuple of a transfer on a link
+        """
         return {}
 
 

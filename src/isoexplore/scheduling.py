@@ -184,6 +184,22 @@ class TupleSet:
     core_capacity: dict[str, int]                # effective, per hosting core
 
 
+def _tabled(
+    tables: dict,
+    key: tuple,
+    policy: ArbitrationPolicy,
+    weight: int,
+    effective_capacity: int | None = None,
+    slot_len: int | None = None,
+) -> ArbitrationTuple:
+    """`make_tuple(...)`, built on the first call for `key` and kept in the
+    spec's tables under it."""
+    t = tables.get(key)
+    if t is None:
+        t = tables[key] = make_tuple(policy, weight, effective_capacity, slot_len)
+    return t
+
+
 def refine_tuples(
     spec: ProblemSpec,
     bindings: Mapping[str, str],
@@ -199,6 +215,9 @@ def refine_tuples(
     drop the bus slots of idle cores and shrink TX/RX cycles to the traffic
     they actually carry. Route links never shrink. Reductions apply to
     work-conserving policies only.
+
+    Each tuple is built once per spec and kept in its tables, keyed by
+    what it depends on.
     """
     arch = spec.architecture
     reserved_tiles = set(reserved_tiles)
@@ -215,56 +234,59 @@ def refine_tuples(
         in_of_tile.setdefault(inst.dst_tile, []).append(inst)
 
     ts = TupleSet({}, {}, {}, {}, {}, {}, {}, {}, {})
-    lp = spec.architecture.noc.link_policy
     tables = spec.tables
 
     for tile in arch.tiles:
+        tid = tile.id
         hosting = [c for c in tile.cores if c.id in tasks_on_core]
-        outbound = out_of_tile.get(tile.id, [])
-        inbound = in_of_tile.get(tile.id, [])
+        outbound = out_of_tile.get(tid)
+        inbound = in_of_tile.get(tid)
         if not hosting and not outbound and not inbound:
             continue
 
-        policies = tables.get(tile.id)
+        policies = tables.get(tid)
         if policies is None:
-            policies = tables[tile.id] = (
-                extended_bus_policy(tile), extended_core_policy(tile))
+            policies = tables[tid] = (extended_bus_policy(tile), extended_core_policy(tile))
         bus_policy, core_policy = policies
+        bmw = tile.bus_master_weight
         k_bus = bus_policy.capacity
-        if tile.id in reserved_tiles and bus_policy.work_conserving:
-            idle = sum(1 for c in tile.cores if c.id not in tasks_on_core)
-            k_bus -= idle * tile.bus_master_weight
-        ts.bus_capacity[tile.id] = k_bus
+        if tid in reserved_tiles and bus_policy.work_conserving:
+            k_bus -= (len(tile.cores) - len(hosting)) * bmw
+        ts.bus_capacity[tid] = k_bus
+        bus = _tabled(tables, ("bus", tid, bmw, k_bus), bus_policy, bmw, k_bus)
         for core in hosting:
-            ts.core_bus[core.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
+            ts.core_bus[core.id] = bus
 
         for core in hosting:
-            weights = [task_weights[t] for t in tasks_on_core[core.id]]
+            on_core = tasks_on_core[core.id]
             if core.id in exclusive_cores:
-                k_core = reduce_capacity(core_policy, sum(weights))
+                k_core = reduce_capacity(core_policy, sum(task_weights[t] for t in on_core))
             else:
                 k_core = core_policy.capacity
             ts.core_capacity[core.id] = k_core
-            for task_id in tasks_on_core[core.id]:
-                ts.core[task_id] = make_tuple(core_policy, task_weights[task_id], k_core)
+            for task_id in on_core:
+                w = task_weights[task_id]
+                ts.core[task_id] = _tabled(
+                    tables, ("core", tid, w, k_core), core_policy, w, k_core)
 
-        for out, traffic, policy, bus in (
-            (ts.tx, outbound, tile.tx_policy, ts.tx_bus),
-            (ts.rx, inbound, tile.rx_policy, ts.rx_bus),
+        for kind, out, traffic, policy, bus_of in (
+            ("tx", ts.tx, outbound, tile.tx_policy, ts.tx_bus),
+            ("rx", ts.rx, inbound, tile.rx_policy, ts.rx_bus),
         ):
             if not traffic:
                 continue
-            bus[tile.id] = make_tuple(bus_policy, tile.bus_master_weight, k_bus)
+            bus_of[tid] = bus
             weights = [message_weights[i.key] for i in traffic]
-            if tile.id in reserved_tiles and policy.work_conserving:
+            if tid in reserved_tiles and policy.work_conserving:
                 k_na = reduce_capacity(policy, sum(weights))
             else:
                 k_na = policy.capacity
             for inst, w in zip(traffic, weights):
-                out[inst.key] = make_tuple(
-                    policy, w, k_na, slot_len=bus[tile.id].period
-                )
+                out[inst.key] = _tabled(
+                    tables, (kind, tid, w, k_na, k_bus), policy, w, k_na, bus.period)
 
+    lp = arch.noc.link_policy
     for inst in instances:
-        ts.route[inst.key] = make_tuple(lp, message_weights[inst.key])
+        w = message_weights[inst.key]
+        ts.route[inst.key] = _tabled(tables, ("route", w), lp, w)
     return ts

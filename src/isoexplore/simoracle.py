@@ -397,9 +397,7 @@ class _Sim:
         self.result = TrialResult(responses={}, traversals={})
 
         self.eff_md = effective_mem_demand(
-            spec.application, mapping.bindings,
-            lambda c: self.arch.tile_of_core(c).id,
-        )
+            spec.application, mapping.bindings, self.arch.tile_id_of)
         self.masters: dict[str, tuple[_Owner, _Owner]] = {}  # task -> jobs, core's words
         self.routes: dict[InstanceKey, tuple] = {}   # transfer -> tx, links, rx, words, flits
         self._build()

@@ -336,6 +336,28 @@ def test_malformed_mapping_exits_2(spec_path, tmp_path, capsys, command, text):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"core_flags": {"zz": "bogus"}},
+        {"core_flags": {"zz": "shared"}},
+        {"core_flags": {"t0_0.c0": ["reserved"]}},
+        {"core_flags": {"t0_0.c0": True}},
+        {"tile_flags": {"t0_0": "Reserved"}},
+        {"tile_flags": {"t9_9": "shared"}},
+    ],
+    ids=["unknown-core-bad-value", "unknown-core", "list-value", "bool-value",
+         "capitalized-value", "unknown-tile"],
+)
+def test_bad_flag_map_exits_2(spec_path, tmp_path, capsys, command, flags):
+    bad = tmp_path / "flags.json"
+    bad.write_text(json.dumps({"bindings": SHARED, **flags}))
+    assert main([command, "--spec", str(spec_path), "--mapping", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert next(iter(flags)) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 @pytest.mark.parametrize("field", ["period_us", "wcet_us"])
 def test_non_finite_time_exits_2(spec_path, mapping_path, tmp_path, capsys,

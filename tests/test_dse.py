@@ -12,6 +12,7 @@ from isoexplore.dse import (
     ComparisonResult,
     _fast_nondominated_sort,
     ParetoArchive,
+    _trace_epsilons,
     compare_approaches,
     derive_seed,
     dominates,
@@ -124,6 +125,62 @@ positive_front = st.lists(st.tuples(objective, objective, objective), min_size=1
 def test_epsilon_equals_the_pairwise_definition_bitwise(front, reference):
     assert repr(epsilon_dominance(front, reference)) == repr(
         pairwise_epsilon(front, reference))
+
+
+@st.composite
+def archive_snapshots(draw):
+    """A final archive and a sequence of snapshots that repeat, grow, lose
+    entries or are drawn afresh, some starting empty."""
+    pool = draw(positive_front)
+    final = draw(st.one_of(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
+                           positive_front))
+    snapshots = [[]] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 10))):
+        prev = snapshots[-1] if snapshots else []
+        step = draw(st.sampled_from(["repeat", "grow", "lose", "fresh"]))
+        if step == "repeat":
+            snap = list(prev)
+        elif step == "grow":
+            snap = prev + draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        elif step == "lose":
+            keep = draw(st.lists(st.booleans(), min_size=len(prev), max_size=len(prev)))
+            snap = [v for v, k in zip(prev, keep) if k]
+        else:
+            snap = draw(st.lists(st.sampled_from(pool), max_size=6))
+        snapshots.append(snap)
+    return snapshots, final
+
+
+@settings(max_examples=300, deadline=None)
+@given(archive_snapshots())
+def test_trace_epsilons_equal_the_pairwise_definition_bitwise(case):
+    snapshots, final = case
+    eps = _trace_epsilons(snapshots, final)
+    assert len(eps) == len(snapshots)
+    for snap, e in zip(snapshots, eps):
+        expected = pairwise_epsilon(snap, final) if snap else 1.0
+        assert repr(e) == repr(expected)
+
+
+def test_trace_epsilons_score_an_empty_start_as_one():
+    assert _trace_epsilons([[], [(2, 2)], [(2, 2)], [(1, 1)]], [(1, 1)]) == [
+        1.0, 0.5, 0.5, 0.0]
+
+
+@pytest.mark.parametrize(
+    "snapshots, final",
+    [
+        ([[(1, 1)], [(1, 1), (1, 0)]], [(1, 1)]),      # a later snapshot
+        ([[(0, 1)]], [(1, 1)]),
+        ([[], [(-1, 1)]], [(1, 1)]),
+        ([[(1, 1)]], [(1, -2)]),                       # the final archive
+        ([[(1, 1)]], [(2, 2), (0, 3)]),
+        ([[(1, 1)]], []),
+    ],
+)
+def test_trace_epsilons_reject_bad_inputs(snapshots, final):
+    with pytest.raises(DomainError):
+        _trace_epsilons(snapshots, final)
 
 
 # -------------------------------------------------------------------- ranking

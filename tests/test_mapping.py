@@ -55,7 +55,7 @@ def test_route_instances_skips_local_consumers(two_tile_spec):
 def test_effective_mem_demand_folds_local_messages(two_tile_spec):
     app = two_tile_spec.application
     arch = two_tile_spec.architecture
-    eff = effective_mem_demand(app, SHARED, lambda c: arch.tile_of_core(c).id)
+    eff = effective_mem_demand(app, SHARED, arch.tile_id_of)
     # m0 (md 6) is local: producer t0 writes it, consumer t2 re-reads it.
     # m1 is remote: adapters carry it, no task-side traffic.
     assert eff == {"t0": 8 + 6, "t1": 4, "t2": 6 + 6}
@@ -97,8 +97,7 @@ def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
     res = decode(spec, random_genotype(spec, Random(seed)), mode)
     if not res.feasible:
         return
-    eff = effective_mem_demand(spec.application, res.bindings,
-                               lambda c: arch.tile_of_core(c).id)
+    eff = effective_mem_demand(spec.application, res.bindings, arch.tile_id_of)
     for t in spec.application.tasks:
         core = arch.core(res.bindings[t.id])
         bus, ct = res.tuples.core_bus[core.id], res.tuples.core[t.id]
@@ -295,6 +294,48 @@ def test_load_mapping_doc_needs_bindings(two_tile_spec):
         load_mapping_doc(two_tile_spec, {"core_flags": {}})
 
 
+@pytest.mark.parametrize(
+    "field, flags",
+    [
+        ("core_flags", {"t0_0.c0": True}),
+        ("core_flags", {"t0_0.c0": 1}),
+        ("core_flags", {"t0_0.c0": "Reserved"}),
+        ("core_flags", {"t0_0.c0": ["reserved"]}),
+        ("core_flags", {"t0_0.c0": None}),
+        ("core_flags", {"zz": "shared"}),
+        ("core_flags", {"t0_0": "reserved"}),
+        ("tile_flags", {"t0_0": "bogus"}),
+        ("tile_flags", {"t0_0": False}),
+        ("tile_flags", {"zz": "shared"}),
+        ("tile_flags", {"t0_0.c0": "reserved"}),
+    ],
+)
+def test_load_mapping_doc_rejects_bad_flags(two_tile_spec, field, flags):
+    with pytest.raises(ValidationError, match=field):
+        load_mapping_doc(two_tile_spec, {"bindings": SHARED, field: flags})
+
+
+def test_load_mapping_doc_reads_both_flag_values(two_tile_spec):
+    res = load_mapping_doc(two_tile_spec, {
+        "bindings": SHARED,
+        "core_flags": {"t0_0.c0": "reserved", "t0_0.c1": "shared", "t1_0.c1": "reserved"},
+        "tile_flags": {"t0_0": "shared", "t1_0": "reserved"},
+    })
+    assert res.reserved_cores == {"t0_0.c0"}
+    assert res.reserved_tiles == {"t1_0"}
+
+
+@pytest.mark.parametrize("mode", list(ExplorationMode))
+def test_every_to_doc_loads_back(mode):
+    spec = generate_spec("networking", (2, 2), 3)
+    rng = Random(11)
+    for _ in range(20):
+        res = decode(spec, random_genotype(spec, rng), mode)
+        again = load_mapping_doc(spec, res.to_doc())
+        assert again.digest == res.digest
+        assert again.objectives == res.objectives
+
+
 def test_infeasible_binding_reports_reason(two_tile_spec):
     res = from_bindings(
         two_tile_spec, {"t0": "t0_0.c0", "t1": "t0_0.c0", "t2": "t0_0.c0"})
@@ -334,15 +375,21 @@ def tight_spec_text() -> str:
 
 
 TABLE_SPECS = {
-    **{p: emit_spec(generate_spec(p, (4, 4), 0)) for p in ("consumer", "networking", "telecom")},
+    **{p: emit_spec(generate_spec(p, (4, 4), 0))
+       for p in ("automotive", "consumer", "networking", "telecom")},
     "tight": tight_spec_text(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
 def test_warm_tables_decode_like_a_fresh_spec(name):
+    # json.dumps without sort_keys also compares the order of every
+    # document map; the tuple maps follow the architecture's tile order.
     text = TABLE_SPECS[name]
     warm = parse_spec(text)
+    arch = warm.architecture
+    core_ids = [c.id for c in arch.cores]
+    tile_ids = [t.id for t in arch.tiles]
     rng = Random(5)
     modes = list(ExplorationMode)
     reasons = set()
@@ -350,8 +397,20 @@ def test_warm_tables_decode_like_a_fresh_spec(name):
         g = random_genotype(warm, rng)
         mode = modes[i % len(modes)]
         doc = decode(warm, g, mode).to_doc()
-        assert doc == decode(parse_spec(text), g, mode).to_doc()
+        assert json.dumps(doc) == json.dumps(decode(parse_spec(text), g, mode).to_doc())
         reasons.add(" ".join(doc.get("reason", "feasible").split()[:3]))
+        if doc["feasible"]:
+            tuples = doc["tuples"]
+            assert list(tuples["core_bus"]) == [c for c in core_ids if c in tuples["core_bus"]]
+            for side in ("tx_bus", "rx_bus"):
+                assert list(tuples[side]) == [t for t in tile_ids if t in tuples[side]]
+
+        bindings = doc["bindings"]
+        cores = {c.id for c, bit in zip(arch.cores, g.core_flags) if not bit}
+        tiles = {t.id for t, bit in zip(arch.tiles, g.tile_flags) if not bit}
+        doc = from_bindings(warm, bindings, cores, tiles).to_doc()
+        fresh = from_bindings(parse_spec(text), bindings, cores, tiles).to_doc()
+        assert json.dumps(doc) == json.dumps(fresh)
     assert warm.tables
     if name == "tight":
         # failed searches are kept in the tables too

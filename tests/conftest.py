@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 
 from isoexplore import generate_spec, kernels, load_mapping_doc, parse_spec
+from isoexplore.model import emit_spec
 
 
 def call_budget(monkeypatch, name: str, calls: int = 10_000) -> None:
@@ -23,6 +24,17 @@ def call_budget(monkeypatch, name: str, calls: int = 10_000) -> None:
         return inner(*args)
 
     monkeypatch.setattr(kernels, name, counted)
+
+
+def tight_spec_text() -> str:
+    """Networking 2x2 with deadlines cut so that the least-weight searches of
+    many tasks and of two messages find no weight within capacity."""
+    doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 3)))
+    for t in doc["application"]["tasks"]:
+        t["period_us"] //= 13
+    for m in doc["application"]["messages"][::8]:
+        m["period_us"] //= 500
+    return json.dumps(doc)
 
 
 def bundled_text(kind: str, name: str) -> str:

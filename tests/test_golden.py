@@ -6,9 +6,15 @@ import hashlib
 import io
 import json
 
+from random import Random
+
 from isoexplore.cli import main
 from isoexplore.dse import compare_approaches
 from isoexplore.generator import generate_spec
+from isoexplore.mapping import ExplorationMode, decode, from_bindings, random_genotype
+from isoexplore.model import emit_spec, parse_spec
+
+from conftest import tight_spec_text
 
 EXPLORE_ARCHIVE_SHA1 = "8db3bdc82625b6e064fe61ad33671a9ae5febe97"
 EXPLORE_TRACE_SHA1 = "ee8084cf887aa0cfdffc8614879d2ee86be51df5"
@@ -19,6 +25,7 @@ COMPARE_EPSILON = {
     "FixedCR": ["0.7666666666666667"],
     "FixedTR": ["0.9125"],
 }
+TO_DOC_SHA1 = "af9b5ec4441fd128e5b17c327f5a8b396eb1122a"
 
 
 def sha1(data: bytes) -> str:
@@ -52,3 +59,40 @@ def test_compare_fronts_and_epsilons_are_pinned():
     )
     assert sha1(fronts.encode()) == COMPARE_FRONTS_SHA1
     assert {m: [repr(e) for e in v] for m, v in res.epsilon.items()} == COMPARE_EPSILON
+
+
+def to_doc_corpus():
+    """Mapping documents in every mode, feasible or not: random genotypes on
+    automotive 2x2 (TX and RX overloads), consumer 4x4 (feasible) and the
+    tight spec (failed weight searches, core overloads), some also bound
+    explicitly in reverse task order; then round-robin bindings, in reverse
+    task order, that overload two or three cores of automotive 2x2 cut to
+    core capacity 4."""
+    auto = emit_spec(generate_spec("automotive", (2, 2), 2))
+    modes = list(ExplorationMode)
+    for text in (auto, emit_spec(generate_spec("consumer", (4, 4), 1)), tight_spec_text()):
+        spec = parse_spec(text)
+        rng = Random(3)
+        for i in range(68):
+            res = decode(spec, random_genotype(spec, rng), modes[i % len(modes)])
+            yield res.to_doc()
+            if i % 8 == 0:
+                yield from_bindings(spec, dict(reversed(res.bindings.items())),
+                                    res.reserved_cores, res.reserved_tiles).to_doc()
+    doc = json.loads(auto)
+    for tile_type in doc["architecture"]["tile_types"]:
+        tile_type["core_policy"]["capacity"] = 4
+    spec = parse_spec(json.dumps(doc))
+    tasks = [t.id for t in spec.application.tasks][::-1]
+    cores = [c.id for c in spec.architecture.cores]
+    for hosts in (cores[:2], cores[:3], cores[::-5], cores[1::7]):
+        yield from_bindings(
+            spec, {t: hosts[k % len(hosts)] for k, t in enumerate(tasks)}).to_doc()
+
+
+def test_to_doc_corpus_is_pinned():
+    # json.dumps without sort_keys pins the order of every document map too.
+    digest = hashlib.sha1()
+    for doc in to_doc_corpus():
+        digest.update(json.dumps(doc).encode() + b"\n")
+    assert digest.hexdigest() == TO_DOC_SHA1

@@ -25,7 +25,7 @@ from isoexplore.mapping import (
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
 
-from conftest import bundled_text
+from conftest import bundled_text, tight_spec_text
 
 SHARED = {"t0": "t0_0.c0", "t1": "t1_0.c0", "t2": "t0_0.c1"}
 
@@ -361,17 +361,6 @@ def test_complete_dag_decodes():
 
 
 # ------------------------------------------------------------ per-spec tables
-
-
-def tight_spec_text() -> str:
-    """Networking 2x2 with deadlines cut so that the least-weight searches of
-    many tasks and of two messages find no weight within capacity."""
-    doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 3)))
-    for t in doc["application"]["tasks"]:
-        t["period_us"] //= 13
-    for m in doc["application"]["messages"][::8]:
-        m["period_us"] //= 500
-    return json.dumps(doc)
 
 
 TABLE_SPECS = {

@@ -21,7 +21,7 @@ from typing import Sequence
 from . import scheduling, timing
 from .errors import Infeasible, MissingCoefficient, ValidationError
 from .model import Message, NocConfig, ProblemSpec
-from .scheduling import BudgetAssignment, InstanceKey, TupleSet
+from .scheduling import BudgetAssignment, InstanceKey, Placement, TupleSet
 
 
 class IsolationScheme(IntEnum):
@@ -81,7 +81,6 @@ class RoutedInstance:
     """One inter-tile transfer: a message toward one remote consumer."""
 
     message: Message
-    consumer: str
     src_tile: str
     dst_tile: str
     links: tuple[str, ...]
@@ -97,6 +96,7 @@ class MappingResult:
     reserved_tiles: frozenset[str]          # effective (masked) tile flags
     schemes: dict[str, IsolationScheme]     # per hosting core
     instances: tuple[RoutedInstance, ...]
+    placement: Placement
     feasible: bool
     reason: str | None = None
     budget: BudgetAssignment | None = None
@@ -133,7 +133,7 @@ class MappingResult:
             },
             "tile_flags": {
                 t: ("reserved" if t in self.reserved_tiles else "shared")
-                for t in sorted({tile for tile in self._hosting_tiles()})
+                for t in sorted(tile.id for tile, *_ in self.placement.tiles)
             },
             "schemes": {c: s.short for c, s in sorted(self.schemes.items())},
         }
@@ -142,6 +142,7 @@ class MappingResult:
             return doc
         assert self.budget is not None and self.tuples is not None
         key = lambda k: f"{k[0]}->{k[1]}"
+        bus, tiles = self.tuples.bus, self.placement.tiles
         doc["weights"] = {
             "tasks": dict(self.budget.task_weights),
             "transfers": {key(k): w for k, w in self.budget.message_weights.items()},
@@ -149,9 +150,9 @@ class MappingResult:
         doc["routes"] = {key(i.key): list(i.links) for i in self.instances}
         doc["tuples"] = {
             "core": {t: list(v) for t, v in self.tuples.core.items()},
-            "core_bus": {c: list(v) for c, v in self.tuples.core_bus.items()},
-            "tx_bus": {t: list(v) for t, v in self.tuples.tx_bus.items()},
-            "rx_bus": {t: list(v) for t, v in self.tuples.rx_bus.items()},
+            "core_bus": {c.id: list(bus[t.id]) for t, cores, _, _ in tiles for c in cores},
+            "tx_bus": {t.id: list(bus[t.id]) for t, _, out, _ in tiles if out},
+            "rx_bus": {t.id: list(bus[t.id]) for t, _, _, inb in tiles if inb},
             "tx": {key(k): list(v) for k, v in self.tuples.tx.items()},
             "rx": {key(k): list(v) for k, v in self.tuples.rx.items()},
             "route": {key(k): list(v) for k, v in self.tuples.route.items()},
@@ -185,9 +186,6 @@ class MappingResult:
             "energy": self.objectives[2],
         }
         return doc
-
-    def _hosting_tiles(self) -> set[str]:
-        return {c.rsplit(".", 1)[0] for c in self.schemes}
 
 
 def effective_mem_demand(
@@ -235,28 +233,20 @@ def route_instances(
                 links = xy_route(arch.tile(src).pos, arch.tile(dst).pos)
                 route = tables[(src, dst)] = (
                     links, len(links) + arch.noc.route_hop_offset)
-            out.append(RoutedInstance(m, consumer, src, dst, *route, (m.id, consumer)))
+            out.append(RoutedInstance(m, src, dst, *route, (m.id, consumer)))
     return tuple(out)
 
 
 def resource_usage(
-    spec: ProblemSpec,
-    bindings: TMapping[str, str],
+    placement: Placement,
     reserved_tiles: frozenset[str],
     reserved_cores: frozenset[str],
     task_weights: TMapping[str, int],
 ) -> float:
     """Allocated compute, in cores: a reserved tile claims all its cores, a
     reserved core claims one, a shared core its weight fraction."""
-    arch = spec.architecture
-    tasks_on_core: dict[str, list[str]] = {}
-    for task_id, core_id in bindings.items():
-        tasks_on_core.setdefault(core_id, []).append(task_id)
     usage = 0.0
-    for tile in arch.tiles:
-        hosting = [c for c in tile.cores if c.id in tasks_on_core]
-        if not hosting:
-            continue
+    for tile, hosting, _, _ in placement.tiles:
         if tile.id in reserved_tiles:
             usage += len(tile.cores)
             continue
@@ -264,7 +254,7 @@ def resource_usage(
             if core.id in reserved_cores:
                 usage += 1.0
             else:
-                total_w = sum(task_weights[t] for t in tasks_on_core[core.id])
+                total_w = sum(task_weights[t] for t in placement.tasks_on_core[core.id])
                 usage += total_w / core.policy.capacity
     return usage
 
@@ -330,15 +320,17 @@ def _build(
     app = spec.application
     tile_of = arch.tile_id_of
 
-    hosting_cores = set(bindings.values())
-    hosting_tiles = {tile_of[c] for c in hosting_cores}
-    reserved_tiles = frozenset(flagged_tiles & hosting_tiles)
+    instances = route_instances(spec, bindings)
+    placement = scheduling.place(spec, bindings, instances)
+    reserved_tiles = frozenset(
+        tile.id for tile, *_ in placement.tiles if tile.id in flagged_tiles)
     reserved_cores = frozenset(
-        c for c in flagged_cores & hosting_cores if tile_of[c] not in reserved_tiles
+        c for c in placement.tasks_on_core
+        if c in flagged_cores and tile_of[c] not in reserved_tiles
     )
 
     schemes: dict[str, IsolationScheme] = {}
-    for core_id in sorted(hosting_cores):
+    for core_id in sorted(placement.tasks_on_core):
         if tile_of[core_id] in reserved_tiles:
             schemes[core_id] = IsolationScheme.TILE_RESERVATION
         elif core_id in reserved_cores:
@@ -346,7 +338,6 @@ def _build(
         else:
             schemes[core_id] = IsolationScheme.CORE_SHARING
 
-    instances = route_instances(spec, bindings)
     result = MappingResult(
         mode=mode,
         bindings=bindings,
@@ -354,6 +345,7 @@ def _build(
         reserved_tiles=reserved_tiles,
         schemes=schemes,
         instances=instances,
+        placement=placement,
         feasible=True,
     )
 
@@ -391,25 +383,19 @@ def _build(
             if isinstance(w, str):
                 raise Infeasible(w)
             message_weights[inst.key] = w
+        scheduling.check_feasibility(
+            spec, bindings, instances, task_weights, message_weights)
     except Infeasible as exc:
         result.feasible = False
         result.reason = str(exc)
         return result
-
-    budget = scheduling.check_feasibility(
-        spec, bindings, instances, task_weights, message_weights
-    )
-    result.budget = budget
-    if not budget.feasible:
-        result.feasible = False
-        result.reason = budget.reason
-        return result
+    result.budget = BudgetAssignment(task_weights, message_weights)
 
     exclusive = {
         c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
     }
     tuples = scheduling.refine_tuples(
-        spec, bindings, instances, task_weights, message_weights,
+        spec, placement, instances, task_weights, message_weights,
         reserved_tiles, exclusive,
     )
     result.tuples = tuples
@@ -419,7 +405,7 @@ def _build(
         parts = timing.wcrt(
             t.wcet[core.core_type], eff_md[t.id],
             arch.tile(core.tile_id).memory.service_time,
-            tuples.core_bus[core.id], tuples.core[t.id],
+            tuples.bus[core.tile_id], tuples.core[t.id],
         )
         result.task_parts[t.id] = parts
         result.task_wcrt[t.id] = sum(parts)
@@ -430,9 +416,9 @@ def _build(
         parts = timing.wctt(
             m.mem_demand, noc.flits_for(m.payload_bytes), inst.hops, noc.router_delay,
             arch.tile(inst.src_tile).memory.service_time,
-            tuples.tx_bus[inst.src_tile], tuples.tx[inst.key], tuples.route[inst.key],
+            tuples.bus[inst.src_tile], tuples.tx[inst.key], tuples.route[inst.key],
             arch.tile(inst.dst_tile).memory.service_time,
-            tuples.rx_bus[inst.dst_tile], tuples.rx[inst.key],
+            tuples.bus[inst.dst_tile], tuples.rx[inst.key],
         )
         result.transfer_parts[inst.key] = parts
         result.transfer_wctt[inst.key] = sum(parts)
@@ -440,7 +426,7 @@ def _build(
     result.makespan = timing.makespan(app, result.task_wcrt, result.transfer_wctt)
     result.throughput = timing.throughput(result.task_wcrt, result.transfer_wctt)
 
-    usage = resource_usage(spec, bindings, reserved_tiles, reserved_cores, task_weights)
+    usage = resource_usage(placement, reserved_tiles, reserved_cores, task_weights)
     result.objectives = (
         result.makespan,
         usage,

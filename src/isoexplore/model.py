@@ -338,9 +338,6 @@ class ArchitectureGraph:
     def core(self, core_id: str) -> Core:
         return self._cores_by_id[core_id]
 
-    def tile_at(self, pos: tuple[int, int]) -> Tile:
-        return self._tiles_by_pos[pos]
-
     @cached_property
     def cores(self) -> tuple[Core, ...]:
         return tuple(c for t in self.tiles for c in t.cores)
@@ -357,10 +354,6 @@ class ArchitectureGraph:
     @cached_property
     def _cores_by_id(self) -> dict[str, Core]:
         return {c.id: c for t in self.tiles for c in t.cores}
-
-    @cached_property
-    def _tiles_by_pos(self) -> dict[tuple[int, int], Tile]:
-        return {t.pos: t for t in self.tiles}
 
 
 # ------------------------------------------------------------------- problem

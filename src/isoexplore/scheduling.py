@@ -1,11 +1,17 @@
 """Budget assignment and arbitration-tuple construction for one binding.
 
+`place` groups a binding once: each hosting core's tasks, and each hosting
+tile's cores and outbound and inbound transfers. Refinement, the resource
+objective, the mapping document and the simulator all read that grouping.
+
 Weights are searched at unreduced capacity (smallest weight whose bound
-meets the element's period); capacity reductions are applied afterwards,
-which only tightens the bounds. Two compensation rules are baked into every
-tuple built here: a bus arbitration delay is extended by its memory's
-service time, and a core's context-switch delay by the largest service time
-it can reach, so that an access granted late can complete.
+meets the element's period); `check_feasibility` raises `Infeasible` for
+the first resource whose weights exceed its capacity. Capacity reductions
+are applied afterwards, which only tightens the bounds. Two compensation
+rules are baked into every tuple built here: a bus arbitration delay is
+extended by its memory's service time, and a core's context-switch delay
+by the largest service time it can reach, so that an access granted late
+can complete.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from . import kernels
 from .arbitration import ArbitrationPolicy, ArbitrationTuple, make_tuple, reduce_capacity
 from .errors import Infeasible
-from .model import ArchitectureGraph, NocConfig, ProblemSpec, Tile
+from .model import Core, NocConfig, ProblemSpec, Tile
 
 InstanceKey = tuple[str, str]  # (message id, consumer task id)
 
@@ -110,8 +116,42 @@ def min_message_weight(
 class BudgetAssignment:
     task_weights: dict[str, int]
     message_weights: dict[InstanceKey, int]
-    feasible: bool = True
-    reason: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class Placement:
+    """Where one binding puts its work.
+
+    `tasks_on_core` maps each hosting core id to its tasks, in declaration
+    order. `tiles` holds one (tile, hosting cores, outbound, inbound) entry
+    per hosting tile, in architecture order, with the transfers in routing
+    order. A transfer leaves its producer's tile and enters its consumer's,
+    so every tile with traffic is a hosting tile.
+    """
+
+    tasks_on_core: dict[str, tuple[str, ...]]
+    tiles: tuple[tuple[Tile, tuple[Core, ...], tuple, tuple], ...]
+
+
+def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -> Placement:
+    """Group a complete binding and its routed transfers by core and tile."""
+    tasks_on_core: dict[str, list[str]] = {}
+    for t in spec.application.tasks:
+        tasks_on_core.setdefault(bindings[t.id], []).append(t.id)
+    out_of: dict[str, list] = {}
+    in_of: dict[str, list] = {}
+    for inst in instances:
+        out_of.setdefault(inst.src_tile, []).append(inst)
+        in_of.setdefault(inst.dst_tile, []).append(inst)
+    # Every result keeps its placement, so it holds tuples, which are
+    # smaller than the lists they are built from.
+    tiles = []
+    for tile in spec.architecture.tiles:
+        hosting = tuple(c for c in tile.cores if c.id in tasks_on_core)
+        if hosting:
+            tiles.append((tile, hosting, tuple(out_of.get(tile.id, ())),
+                          tuple(in_of.get(tile.id, ()))))
+    return Placement({c: tuple(ts) for c, ts in tasks_on_core.items()}, tuple(tiles))
 
 
 def check_feasibility(
@@ -120,25 +160,18 @@ def check_feasibility(
     instances: Sequence,
     task_weights: Mapping[str, int],
     message_weights: Mapping[InstanceKey, int],
-) -> BudgetAssignment:
-    """Verify per-resource weight sums against capacities.
+) -> None:
+    """Raise `Infeasible` for the first resource whose weights exceed its
+    capacity: cores in binding order, then TX, RX and links in transfer
+    order.
 
-    `instances` are routed-transfer records (message, consumer, src/dst tile
-    ids, route link ids) as produced by the mapping layer.
+    `instances` are routed-transfer records (key, src/dst tile ids, route
+    link ids) as produced by the mapping layer.
     """
     arch = spec.architecture
-    result = BudgetAssignment(dict(task_weights), dict(message_weights))
-
     per_core: dict[str, int] = {}
     for task_id, core_id in bindings.items():
         per_core[core_id] = per_core.get(core_id, 0) + task_weights[task_id]
-    for core_id, total in per_core.items():
-        cap = arch.core(core_id).policy.capacity
-        if total > cap:
-            result.feasible = False
-            result.reason = f"core {core_id} overloaded: {total} > {cap}"
-            return result
-
     per_tx: dict[str, int] = {}
     per_rx: dict[str, int] = {}
     per_link: dict[str, int] = {}
@@ -148,25 +181,17 @@ def check_feasibility(
         per_rx[inst.dst_tile] = per_rx.get(inst.dst_tile, 0) + w
         for link in inst.links:
             per_link[link] = per_link.get(link, 0) + w
-    for tile_id, total in per_tx.items():
-        cap = arch.tile(tile_id).tx_policy.capacity
-        if total > cap:
-            result.feasible = False
-            result.reason = f"tx {tile_id} overloaded: {total} > {cap}"
-            return result
-    for tile_id, total in per_rx.items():
-        cap = arch.tile(tile_id).rx_policy.capacity
-        if total > cap:
-            result.feasible = False
-            result.reason = f"rx {tile_id} overloaded: {total} > {cap}"
-            return result
     link_cap = arch.noc.link_policy.capacity
-    for link, total in per_link.items():
-        if total > link_cap:
-            result.feasible = False
-            result.reason = f"link {link} overloaded: {total} > {link_cap}"
-            return result
-    return result
+    for kind, loads, capacity in (
+        ("core", per_core, lambda c: arch.core(c).policy.capacity),
+        ("tx", per_tx, lambda t: arch.tile(t).tx_policy.capacity),
+        ("rx", per_rx, lambda t: arch.tile(t).rx_policy.capacity),
+        ("link", per_link, lambda _: link_cap),
+    ):
+        for resource, total in loads.items():
+            cap = capacity(resource)
+            if total > cap:
+                raise Infeasible(f"{kind} {resource} overloaded: {total} > {cap}")
 
 
 @dataclass
@@ -174,13 +199,11 @@ class TupleSet:
     """All arbitration tuples of one feasible binding, after refinement."""
 
     core: dict[str, ArbitrationTuple]            # per task
-    core_bus: dict[str, ArbitrationTuple]        # per hosting core
-    tx_bus: dict[str, ArbitrationTuple]          # per tile with outbound traffic
-    rx_bus: dict[str, ArbitrationTuple]          # per tile with inbound traffic
+    bus: dict[str, ArbitrationTuple]             # per hosting tile, any bus master
     tx: dict[InstanceKey, ArbitrationTuple]
     rx: dict[InstanceKey, ArbitrationTuple]
     route: dict[InstanceKey, ArbitrationTuple]
-    bus_capacity: dict[str, int]                 # effective, per tile
+    bus_capacity: dict[str, int]                 # effective, per hosting tile
     core_capacity: dict[str, int]                # effective, per hosting core
 
 
@@ -202,7 +225,7 @@ def _tabled(
 
 def refine_tuples(
     spec: ProblemSpec,
-    bindings: Mapping[str, str],
+    placement: Placement,
     instances: Sequence,
     task_weights: Mapping[str, int],
     message_weights: Mapping[InstanceKey, int],
@@ -219,31 +242,13 @@ def refine_tuples(
     Each tuple is built once per spec and kept in its tables, keyed by
     what it depends on.
     """
-    arch = spec.architecture
     reserved_tiles = set(reserved_tiles)
     exclusive_cores = set(exclusive_cores)
-
-    tasks_on_core: dict[str, list[str]] = {}
-    for t in spec.application.tasks:
-        if t.id in bindings:
-            tasks_on_core.setdefault(bindings[t.id], []).append(t.id)
-    out_of_tile: dict[str, list] = {}
-    in_of_tile: dict[str, list] = {}
-    for inst in instances:
-        out_of_tile.setdefault(inst.src_tile, []).append(inst)
-        in_of_tile.setdefault(inst.dst_tile, []).append(inst)
-
-    ts = TupleSet({}, {}, {}, {}, {}, {}, {}, {}, {})
+    ts = TupleSet({}, {}, {}, {}, {}, {}, {})
     tables = spec.tables
 
-    for tile in arch.tiles:
+    for tile, hosting, outbound, inbound in placement.tiles:
         tid = tile.id
-        hosting = [c for c in tile.cores if c.id in tasks_on_core]
-        outbound = out_of_tile.get(tid)
-        inbound = in_of_tile.get(tid)
-        if not hosting and not outbound and not inbound:
-            continue
-
         policies = tables.get(tid)
         if policies is None:
             policies = tables[tid] = (extended_bus_policy(tile), extended_core_policy(tile))
@@ -253,12 +258,10 @@ def refine_tuples(
         if tid in reserved_tiles and bus_policy.work_conserving:
             k_bus -= (len(tile.cores) - len(hosting)) * bmw
         ts.bus_capacity[tid] = k_bus
-        bus = _tabled(tables, ("bus", tid, bmw, k_bus), bus_policy, bmw, k_bus)
-        for core in hosting:
-            ts.core_bus[core.id] = bus
+        bus = ts.bus[tid] = _tabled(tables, ("bus", tid, bmw, k_bus), bus_policy, bmw, k_bus)
 
         for core in hosting:
-            on_core = tasks_on_core[core.id]
+            on_core = placement.tasks_on_core[core.id]
             if core.id in exclusive_cores:
                 k_core = reduce_capacity(core_policy, sum(task_weights[t] for t in on_core))
             else:
@@ -269,13 +272,12 @@ def refine_tuples(
                 ts.core[task_id] = _tabled(
                     tables, ("core", tid, w, k_core), core_policy, w, k_core)
 
-        for kind, out, traffic, policy, bus_of in (
-            ("tx", ts.tx, outbound, tile.tx_policy, ts.tx_bus),
-            ("rx", ts.rx, inbound, tile.rx_policy, ts.rx_bus),
+        for kind, out, traffic, policy in (
+            ("tx", ts.tx, outbound, tile.tx_policy),
+            ("rx", ts.rx, inbound, tile.rx_policy),
         ):
             if not traffic:
                 continue
-            bus_of[tid] = bus
             weights = [message_weights[i.key] for i in traffic]
             if tid in reserved_tiles and policy.work_conserving:
                 k_na = reduce_capacity(policy, sum(weights))
@@ -285,7 +287,7 @@ def refine_tuples(
                 out[inst.key] = _tabled(
                     tables, (kind, tid, w, k_na, k_bus), policy, w, k_na, bus.period)
 
-    lp = arch.noc.link_policy
+    lp = spec.architecture.noc.link_policy
     for inst in instances:
         w = message_weights[inst.key]
         ts.route[inst.key] = _tabled(tables, ("route", w), lp, w)

@@ -20,8 +20,8 @@ Supported platform family, validated up front:
 While the tables are built, each one's capacity is checked against the
 trial's event cap before its entries are made: each slot is one table
 entry, and a table longer than the cap could not turn once within it.
-Tiles that host no task and carry no traffic, and links no transfer
-crosses, get no table, so their capacities are not limited.
+Tiles that host no task (and so carry no traffic) and links no transfer
+crosses get no table, so their capacities are not limited.
 
 Each slot-table entry is an owner object that says itself whether the
 arbiter may grant it now (`busy`) and whether it has real work (`real`):
@@ -427,13 +427,7 @@ class _Sim:
     def _build(self) -> None:
         arch, mp = self.arch, self.mapping
         tuples = mp.tuples
-        tasks_on_core: dict[str, list[str]] = {}
-        for t in self.spec.application.tasks:
-            tasks_on_core.setdefault(mp.bindings[t.id], []).append(t.id)
-        out_of, in_of = {}, {}
-        for inst in mp.instances:
-            out_of.setdefault(inst.src_tile, []).append(inst)
-            in_of.setdefault(inst.dst_tile, []).append(inst)
+        tasks_on_core = mp.placement.tasks_on_core
         weights = mp.budget.task_weights
         msg_weights = mp.budget.message_weights
         for inst in mp.instances:
@@ -443,21 +437,16 @@ class _Sim:
                 inst.message.mem_demand, arch.noc.flits_for(inst.message.payload_bytes),
             )
 
-        for tile in arch.tiles:
+        for tile, _, outbound, inbound in mp.placement.tiles:
             reserved = tile.id in mp.reserved_tiles
-            hosting = any(c.id in tasks_on_core for c in tile.cores)
-            outbound = out_of.get(tile.id, [])
-            inbound = in_of.get(tile.id, [])
-            if not hosting and not outbound and not inbound:
-                continue
 
             # adapter units: slot spans one refined bus arbitration period.
             # Without traffic, the adapter's bus slots are inert on a
             # reserved tile and background load on a shared one.
             adapters = []
-            for side, traffic, pol_u, bus, step in (
-                (0, outbound, tile.tx_policy, tuples.tx_bus, self._inject),
-                (2, inbound, tile.rx_policy, tuples.rx_bus, self._delivered),
+            for side, traffic, pol_u, step in (
+                (0, outbound, tile.tx_policy, self._inject),
+                (2, inbound, tile.rx_policy, self._delivered),
             ):
                 if not traffic:
                     adapters.append(_Owner() if reserved else _Phantom(self._phantom_busy))
@@ -471,7 +460,7 @@ class _Sim:
                          for _ in range(msg_weights[i.key])]
                 _SlotArbiter(
                     self.eng, self.rng, self._fill(flows, cap),
-                    bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
+                    tuples.bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
                     grant=lambda o, s, e, u=unit: self._unit_grant(u, o, s, e),
                 )
 

@@ -5,7 +5,6 @@ import csv
 import hashlib
 import io
 import json
-
 from random import Random
 
 from isoexplore.cli import main

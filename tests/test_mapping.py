@@ -24,6 +24,7 @@ from isoexplore.mapping import (
 )
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
+from isoexplore.scheduling import place
 
 from conftest import bundled_text, tight_spec_text
 
@@ -100,7 +101,7 @@ def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
     eff = effective_mem_demand(spec.application, res.bindings, arch.tile_id_of)
     for t in spec.application.tasks:
         core = arch.core(res.bindings[t.id])
-        bus, ct = res.tuples.core_bus[core.id], res.tuples.core[t.id]
+        bus, ct = res.tuples.bus[core.tile_id], res.tuples.core[t.id]
         assert res.task_wcrt[t.id] == kernels.task_response(
             t.wcet[core.core_type], eff[t.id], arch.tile(core.tile_id).memory.service_time,
             bus.slot_len, bus.weight, bus.period, ct.slot_len, ct.weight, ct.period)
@@ -213,13 +214,12 @@ def test_digest_tracks_decision_variables(two_tile_spec):
 
 def test_resource_usage_tiers(two_tile_spec):
     weights = {"t0": 3, "t1": 1, "t2": 2}
-    shared = resource_usage(two_tile_spec, SHARED, frozenset(), frozenset(), weights)
+    placement = place(two_tile_spec, SHARED, route_instances(two_tile_spec, SHARED))
+    shared = resource_usage(placement, frozenset(), frozenset(), weights)
     assert shared == pytest.approx(3 / 5 + 2 / 5 + 1 / 5)
-    core_res = resource_usage(
-        two_tile_spec, SHARED, frozenset(), frozenset({"t0_0.c0"}), weights)
+    core_res = resource_usage(placement, frozenset(), frozenset({"t0_0.c0"}), weights)
     assert core_res == pytest.approx(1 + 2 / 5 + 1 / 5)
-    tile_res = resource_usage(
-        two_tile_spec, SHARED, frozenset({"t0_0"}), frozenset(), weights)
+    tile_res = resource_usage(placement, frozenset({"t0_0"}), frozenset(), weights)
     assert tile_res == pytest.approx(3 + 1 / 5)     # all 3 cores of t0_0
 
 

@@ -1,6 +1,7 @@
 """Budgeting: delay extensions, minimal weights, feasibility, refinement."""
 
 import json
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -10,20 +11,21 @@ from isoexplore.arbitration import ArbitrationTuple
 from isoexplore.errors import Infeasible
 from isoexplore.model import parse_spec
 from isoexplore.scheduling import (
-    BudgetAssignment,
     bus_master_tuple,
     check_feasibility,
     extended_bus_policy,
     extended_core_policy,
     min_message_weight,
     min_task_weight,
+    place,
     refine_tuples,
 )
 
 from conftest import call_budget
 
 
-def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5):
+def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5,
+              tx_capacity=4, rx_capacity=4):
     doc = {
         "application": {
             "tasks": [
@@ -49,9 +51,9 @@ def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5):
                                    "capacity": bus_capacity,
                                    "work_conserving": work_conserving},
                     "na": {
-                        "tx": {"arb_delay_ns": 0, "capacity": 4,
+                        "tx": {"arb_delay_ns": 0, "capacity": tx_capacity,
                                "work_conserving": work_conserving},
-                        "rx": {"arb_delay_ns": 0, "capacity": 4,
+                        "rx": {"arb_delay_ns": 0, "capacity": rx_capacity,
                                "work_conserving": work_conserving},
                     },
                     "memories": [{"service_time_ns": 5}],
@@ -186,49 +188,77 @@ def test_min_message_weight_infeasible():
 def test_check_feasibility_accepts_fitting_budgets():
     spec = make_spec()
     inst = make_inst(spec)
-    res = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                            {"a": 3, "b": 2}, {("m", "b"): 4})
-    assert isinstance(res, BudgetAssignment)
-    assert res.feasible and res.reason is None
-    assert res.task_weights == {"a": 3, "b": 2}
+    assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
+                             {"a": 3, "b": 2}, {("m", "b"): 4}) is None
 
 
 def test_check_feasibility_core_overload():
     spec = make_spec()
-    res = check_feasibility(spec, {"a": "t0.c0", "b": "t0.c0"}, [],
-                            {"a": 3, "b": 3}, {})
-    assert not res.feasible
-    assert res.reason == "core t0.c0 overloaded: 6 > 5"
+    with pytest.raises(Infeasible, match=r"^core t0\.c0 overloaded: 6 > 5$"):
+        check_feasibility(spec, {"a": "t0.c0", "b": "t0.c0"}, [], {"a": 3, "b": 3}, {})
+    # Of two overloaded cores, the one bound first is reported.
+    with pytest.raises(Infeasible, match=r"^core t1\.c1 overloaded: 7 > 5$"):
+        check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0"}, [], {"a": 6, "b": 7}, {})
+
+
+# Raised adapter capacities make each resource in turn the first one over.
+OVER_FIRST = {"tx t0": {}, "rx t1": {"tx_capacity": 8},
+              "link 0,0->1,0": {"tx_capacity": 8, "rx_capacity": 8}}
 
 
 @pytest.mark.parametrize(
     "weight, kind", [(5, "tx t0"), (5, "rx t1"), (5, "link 0,0->1,0")]
 )
 def test_check_feasibility_transfer_overload(weight, kind):
+    spec = make_spec(**OVER_FIRST[kind])
+    inst = make_inst(spec)
+    with pytest.raises(Infeasible, match=f"^{re.escape(kind)} overloaded: 5 > 4$"):
+        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
+                          {"a": 1, "b": 1}, {("m", "b"): weight})
+
+
+def test_check_feasibility_reports_a_core_before_a_transfer():
     spec = make_spec()
     inst = make_inst(spec)
-    res = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                            {"a": 1, "b": 1}, {("m", "b"): weight})
-    assert not res.feasible
-    assert "overloaded" in res.reason
+    with pytest.raises(Infeasible, match=r"^core t1\.c1 overloaded: 6 > 5$"):
+        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
+                          {"a": 1, "b": 6}, {("m", "b"): 5})
 
 
 def test_check_feasibility_link_overload_is_per_link():
     spec = make_spec()
     a = make_inst(spec)
     b = Inst(("m2", "a"), "t1", "t0", ("1,0->0,0",))
-    res = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
-                            {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3})
-    assert res.feasible                     # opposite directions never collide
+    # opposite directions never collide
+    assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
+                             {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3}) is None
+
+
+# ------------------------------------------------------------------ placement
+
+
+def test_place_groups_by_core_and_hosting_tile():
+    spec = make_spec()
+    inst = make_inst(spec)
+    p = place(spec, {"b": "t1.c1", "a": "t0.c0"}, [inst])
+    assert p.tasks_on_core == {"t0.c0": ("a",), "t1.c1": ("b",)}   # declaration order
+    arch = spec.architecture
+    t0, t1 = arch.tile("t0"), arch.tile("t1")
+    assert p.tiles == ((t0, (arch.core("t0.c0"),), (inst,), ()),
+                       (t1, (arch.core("t1.c1"),), (), (inst,)))
+    # A tile that hosts nothing has no entry; hosting cores are in tile order.
+    p = place(spec, {"a": "t0.c1", "b": "t0.c0"}, [])
+    assert p.tasks_on_core == {"t0.c1": ("a",), "t0.c0": ("b",)}
+    assert p.tiles == ((t0, t0.cores, (), ()),)
 
 
 # ----------------------------------------------------------------- refinement
 
 
 def refined(spec, **kw):
-    inst = make_inst(spec)
+    insts = [make_inst(spec)]
     return refine_tuples(
-        spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
+        spec, place(spec, {"a": "t0.c0", "b": "t1.c1"}, insts), insts,
         {"a": 2, "b": 1}, {("m", "b"): 1}, **kw,
     )
 
@@ -238,9 +268,7 @@ def test_refine_defaults_keep_full_capacity():
     ts = refined(spec)
     assert ts.bus_capacity == {"t0": 4, "t1": 4}
     assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
-    assert ts.core_bus["t0.c0"] == ArbitrationTuple(100, 1, 420)
-    assert ts.tx_bus["t0"] == ArbitrationTuple(100, 1, 420)
-    assert ts.rx_bus["t1"] == ArbitrationTuple(100, 1, 420)
+    assert ts.bus == {"t0": ArbitrationTuple(100, 1, 420), "t1": ArbitrationTuple(100, 1, 420)}
     core = extended_core_policy(spec.architecture.tile("t0"))
     assert ts.core["a"] == ArbitrationTuple(
         core.slot_len, 2, 5 * (core.slot_len + core.arb_delay))
@@ -265,8 +293,7 @@ def test_refine_reserved_tile_drops_idle_bus_slots():
     ts = refined(spec, reserved_tiles={"t0"})
     # One of two cores hosts nothing: one master slot leaves the cycle.
     assert ts.bus_capacity["t0"] == 3
-    assert ts.core_bus["t0.c0"].period == 3 * 105
-    assert ts.tx_bus["t0"].period == 3 * 105
+    assert ts.bus["t0"].period == 3 * 105
     # TX cycle shrinks to allocated traffic; slots follow the shorter bus.
     assert ts.tx[("m", "b")] == ArbitrationTuple(315, 1, 315)
     # Destination tile is untouched.
@@ -294,5 +321,5 @@ def test_refine_reduction_tightens_every_wait():
     base = refined(spec)
     tight = refined(spec, reserved_tiles={"t0"}, exclusive_cores={"t0.c0"})
     assert tight.core["a"].wait_time() <= base.core["a"].wait_time()
-    assert tight.core_bus["t0.c0"].wait_time() <= base.core_bus["t0.c0"].wait_time()
+    assert tight.bus["t0"].wait_time() <= base.bus["t0"].wait_time()
     assert tight.tx[("m", "b")].wait_time() <= base.tx[("m", "b")].wait_time()

@@ -404,3 +404,52 @@ def test_warm_tables_decode_like_a_fresh_spec(name):
     if name == "tight":
         # failed searches are kept in the tables too
         assert {"feasible", "no core weight", "no transfer weight"} <= reasons
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_live_results_share_decodes_like_a_fresh_spec(name):
+    # Every result stays alive, so each binding decoded again (under
+    # another mode, or bound explicitly) may reuse what an earlier decode
+    # of it holds; no later decode may change an earlier result.
+    text = TABLE_SPECS[name]
+    warm = parse_spec(text)
+    rng = Random(8)
+    kept, dumps = [], []
+    for _ in range(12):
+        g = random_genotype(warm, rng)
+        for mode in ExplorationMode:
+            res = decode(warm, g, mode)
+            dump = json.dumps(res.to_doc())
+            assert dump == json.dumps(decode(parse_spec(text), g, mode).to_doc())
+            kept.append(res)
+            dumps.append(dump)
+        args = (res.bindings, res.reserved_cores, res.reserved_tiles)
+        res = from_bindings(warm, *args)
+        dump = json.dumps(res.to_doc())
+        assert dump == json.dumps(from_bindings(parse_spec(text), *args).to_doc())
+        kept.append(res)
+        dumps.append(dump)
+    assert [json.dumps(r.to_doc()) for r in kept] == dumps
+
+
+def test_reordered_binding_names_its_own_overloaded_core():
+    # Core loads are summed in binding order, so which overloaded core a
+    # binding names depends on that order: a live result of one order must
+    # not answer for the same binding in another.
+    doc = json.loads(emit_spec(generate_spec("automotive", (2, 2), 2)))
+    for tile_type in doc["architecture"]["tile_types"]:
+        tile_type["core_policy"]["capacity"] = 4
+    text = json.dumps(doc)
+    spec = parse_spec(text)
+    tasks = [t.id for t in spec.application.tasks]
+    cores = [c.id for c in spec.architecture.cores]
+    differs = []
+    for hosts in (cores[:2], cores[:3], cores[::-5], cores[1::7], cores[2:4], cores[::3]):
+        forward = {t: hosts[k % len(hosts)] for k, t in enumerate(tasks)}
+        kept = from_bindings(spec, forward)
+        backward = dict(reversed(forward.items()))
+        doc = from_bindings(spec, backward).to_doc()
+        assert json.dumps(doc) == json.dumps(
+            from_bindings(parse_spec(text), backward).to_doc())
+        differs.append(kept.reason != doc.get("reason"))
+    assert sum(differs) == 5

@@ -5,6 +5,13 @@ Isolation follows from where tasks land and which flags are set: a task on
 any core of a reserved tile gets the whole tile exclusively; a reserved core
 on a shared tile is exclusive to its tasks; anything else shares its core.
 Flags of cores and tiles that host nothing are masked out.
+
+A decode runs in two stages. The bindings stage (routes, placement,
+effective memory demand, least weights, feasibility) depends on the
+bindings alone, and results of the same bindings share it while any of
+them is alive. The flags stage (schemes, refined tuples, bounds, makespan
+and objectives) runs on every decode and looks each bound term up in the
+spec's tables by its arguments.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from random import Random
@@ -97,6 +105,7 @@ class MappingResult:
     schemes: dict[str, IsolationScheme]     # per hosting core
     instances: tuple[RoutedInstance, ...]
     placement: Placement
+    stage: BindingStage = field(repr=False, compare=False)
     feasible: bool
     reason: str | None = None
     budget: BudgetAssignment | None = None
@@ -309,6 +318,115 @@ def _search(tables: dict, key: tuple, search, *args) -> int | str:
     return w
 
 
+def _term(tables: dict, key: tuple, bound):
+    """`bound(*key[1:])`, computed on the first call for `key` and kept in
+    the spec's tables under it."""
+    v = tables.get(key)
+    if v is None:
+        v = tables[key] = bound(*key[1:])
+    return v
+
+
+class BindingStage:
+    """The half of a decode that depends on the bindings alone: routes,
+    placement, and either the least weights or the reason why the binding
+    is infeasible. A feasible stage also keeps the flag-independent
+    arguments of each bound term: per task (task id, tile id, wcet,
+    effective memory demand, memory service time), and per transfer (key,
+    source tile id, destination tile id, memory demand, source service
+    time, flits, hops, destination service time).
+
+    Every result of the same bindings, in the same order, shares one
+    stage while any of them is alive: each result holds its stage, and the
+    spec's tables map the bindings to it weakly. A stage never changes
+    after it is built.
+    """
+
+    __slots__ = ("instances", "placement", "budget", "reason",
+                 "task_args", "transfer_args", "__weakref__")
+
+    def __init__(self, instances, placement, budget, reason, task_args, transfer_args):
+        self.instances: tuple[RoutedInstance, ...] = instances
+        self.placement: Placement = placement
+        self.budget: BudgetAssignment | None = budget
+        self.reason: str | None = reason
+        self.task_args: tuple[tuple[str, str, int, int, int], ...] = task_args
+        self.transfer_args: tuple[tuple, ...] = transfer_args
+
+
+_STAGES = ("bindings",)     # the key of the stage map in `spec.tables`
+
+
+def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
+    """The stage of `bindings`, built unless a live result already holds it.
+
+    The key is the task ids, then the core ids, in binding order: one tuple
+    that says what `tuple(bindings.items())` says. The order matters, since
+    `check_feasibility` sums core loads in it and so decides which
+    overloaded core the reason names."""
+    tables = spec.tables
+    stages = tables.get(_STAGES)
+    if stages is None:
+        stages = tables[_STAGES] = {}
+    stage_key = (*bindings, *bindings.values())
+    live = stages.get(stage_key)
+    if live is not None:
+        return live()
+
+    arch = spec.architecture
+    app = spec.application
+    noc = arch.noc
+    instances = route_instances(spec, bindings)
+    placement = scheduling.place(spec, bindings, instances)
+    eff_md = effective_mem_demand(app, bindings, arch.tile_id_of)
+    task_weights: dict[str, int] = {}
+    message_weights: dict[InstanceKey, int] = {}
+    task_args, transfer_args = [], []
+    budget, reason = None, None
+    # A weight is looked up before the search's arguments are evaluated;
+    # no stored weight is 0 and no stored reason is empty.
+    try:
+        for t in app.tasks:
+            core = arch.core(bindings[t.id])
+            tile = arch.tile(core.tile_id)
+            wcet = t.wcet[core.core_type]
+            md = eff_md[t.id]
+            key = (t.id, core.core_type, tile.id, md)
+            w = tables.get(key) or _search(
+                tables, key, scheduling.min_task_weight, t.period, wcet, md, tile)
+            if isinstance(w, str):
+                raise Infeasible(w)
+            task_weights[t.id] = w
+            task_args.append((t.id, tile.id, wcet, md, tile.memory.service_time))
+        for inst in instances:
+            m = inst.message
+            src, dst = arch.tile(inst.src_tile), arch.tile(inst.dst_tile)
+            flits = noc.flits_for(m.payload_bytes)
+            key = (m.id, src.id, dst.id)
+            w = tables.get(key) or _search(
+                tables, key, scheduling.min_message_weight,
+                m.period, m.mem_demand, flits, inst.hops, src, dst, noc,
+            )
+            if isinstance(w, str):
+                raise Infeasible(w)
+            message_weights[inst.key] = w
+            transfer_args.append((
+                inst.key, src.id, dst.id, m.mem_demand, src.memory.service_time,
+                flits, inst.hops, dst.memory.service_time,
+            ))
+        scheduling.check_feasibility(
+            spec, bindings, instances, task_weights, message_weights)
+        budget = BudgetAssignment(task_weights, message_weights)
+    except Infeasible as exc:
+        reason = str(exc)
+        task_args, transfer_args = [], []
+    stage = BindingStage(
+        instances, placement, budget, reason, tuple(task_args), tuple(transfer_args))
+    # The entry goes as soon as the last result that holds the stage does.
+    stages[stage_key] = weakref.ref(stage, lambda _, k=stage_key: stages.pop(k, None))
+    return stage
+
+
 def _build(
     spec: ProblemSpec,
     bindings: dict[str, str],
@@ -316,12 +434,11 @@ def _build(
     flagged_tiles: set[str],
     mode: ExplorationMode,
 ) -> MappingResult:
-    arch = spec.architecture
     app = spec.application
-    tile_of = arch.tile_id_of
+    tile_of = spec.architecture.tile_id_of
 
-    instances = route_instances(spec, bindings)
-    placement = scheduling.place(spec, bindings, instances)
+    stage = _binding_stage(spec, bindings)
+    instances, placement, budget = stage.instances, stage.placement, stage.budget
     reserved_tiles = frozenset(
         tile.id for tile, *_ in placement.tiles if tile.id in flagged_tiles)
     reserved_cores = frozenset(
@@ -330,7 +447,7 @@ def _build(
     )
 
     schemes: dict[str, IsolationScheme] = {}
-    for core_id in sorted(placement.tasks_on_core):
+    for core_id in placement.tasks_on_core:         # in id order
         if tile_of[core_id] in reserved_tiles:
             schemes[core_id] = IsolationScheme.TILE_RESERVATION
         elif core_id in reserved_cores:
@@ -346,85 +463,48 @@ def _build(
         schemes=schemes,
         instances=instances,
         placement=placement,
-        feasible=True,
+        stage=stage,
+        feasible=budget is not None,
+        reason=stage.reason,
+        budget=budget,
     )
-
-    eff_md = effective_mem_demand(app, bindings, tile_of)
-    tables = spec.tables
-    task_weights: dict[str, int] = {}
-    message_weights: dict[InstanceKey, int] = {}
-    # A weight is looked up before the search's arguments are evaluated;
-    # no stored weight is 0 and no stored reason is empty.
-    try:
-        for t in app.tasks:
-            core = arch.core(bindings[t.id])
-            md = eff_md[t.id]
-            key = (t.id, core.core_type, core.tile_id, md)
-            w = tables.get(key) or _search(
-                tables, key, scheduling.min_task_weight,
-                t.period, t.wcet[core.core_type], md, arch.tile(core.tile_id),
-            )
-            if isinstance(w, str):
-                raise Infeasible(w)
-            task_weights[t.id] = w
-        for inst in instances:
-            m = inst.message
-            key = (m.id, inst.src_tile, inst.dst_tile)
-            w = tables.get(key) or _search(
-                tables, key, scheduling.min_message_weight,
-                m.period,
-                m.mem_demand,
-                arch.noc.flits_for(m.payload_bytes),
-                inst.hops,
-                arch.tile(inst.src_tile),
-                arch.tile(inst.dst_tile),
-                arch.noc,
-            )
-            if isinstance(w, str):
-                raise Infeasible(w)
-            message_weights[inst.key] = w
-        scheduling.check_feasibility(
-            spec, bindings, instances, task_weights, message_weights)
-    except Infeasible as exc:
-        result.feasible = False
-        result.reason = str(exc)
+    if budget is None:
         return result
-    result.budget = BudgetAssignment(task_weights, message_weights)
+    task_weights = budget.task_weights
 
     exclusive = {
         c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
     }
     tuples = scheduling.refine_tuples(
-        spec, placement, instances, task_weights, message_weights,
+        spec, placement, instances, task_weights, budget.message_weights,
         reserved_tiles, exclusive,
     )
     result.tuples = tuples
 
-    for t in app.tasks:
-        core = arch.core(bindings[t.id])
-        parts = timing.wcrt(
-            t.wcet[core.core_type], eff_md[t.id],
-            arch.tile(core.tile_id).memory.service_time,
-            tuples.bus[core.tile_id], tuples.core[t.id],
-        )
-        result.task_parts[t.id] = parts
-        result.task_wcrt[t.id] = sum(parts)
+    # Each bound term is kept in the spec's tables, keyed by its arguments.
+    tables = spec.tables
+    bus, core_tuple = tuples.bus, tuples.core
+    task_parts, task_wcrt = result.task_parts, result.task_wcrt
+    for task_id, tile_id, wcet, md, st in stage.task_args:
+        parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
+                      timing.wcrt)
+        task_parts[task_id] = parts
+        task_wcrt[task_id] = sum(parts)
 
-    noc = arch.noc
-    for inst in instances:
-        m = inst.message
-        parts = timing.wctt(
-            m.mem_demand, noc.flits_for(m.payload_bytes), inst.hops, noc.router_delay,
-            arch.tile(inst.src_tile).memory.service_time,
-            tuples.bus[inst.src_tile], tuples.tx[inst.key], tuples.route[inst.key],
-            arch.tile(inst.dst_tile).memory.service_time,
-            tuples.bus[inst.dst_tile], tuples.rx[inst.key],
+    router_delay = spec.architecture.noc.router_delay
+    tx, route, rx = tuples.tx, tuples.route, tuples.rx
+    transfer_parts, transfer_wctt = result.transfer_parts, result.transfer_wctt
+    for k, src, dst, md, src_st, flits, hops, dst_st in stage.transfer_args:
+        parts = (
+            _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
+            _term(tables, ("d_noc", flits, hops, router_delay, route[k]), timing.noc_latency),
+            _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
         )
-        result.transfer_parts[inst.key] = parts
-        result.transfer_wctt[inst.key] = sum(parts)
+        transfer_parts[k] = parts
+        transfer_wctt[k] = sum(parts)
 
-    result.makespan = timing.makespan(app, result.task_wcrt, result.transfer_wctt)
-    result.throughput = timing.throughput(result.task_wcrt, result.transfer_wctt)
+    result.makespan = timing.makespan(app, task_wcrt, transfer_wctt)
+    result.throughput = timing.throughput(task_wcrt, transfer_wctt)
 
     usage = resource_usage(placement, reserved_tiles, reserved_cores, task_weights)
     result.objectives = (

@@ -423,6 +423,17 @@ class ProblemSpec:
           "tx" or "rx" -> arbitration tuple of a transfer on the adapter,
               whose slot is the period of the bus at that capacity
           ("route", weight) -> arbitration tuple of a transfer on a link
+          ("wcrt", wcet, effective memory demand, service time, bus tuple,
+          core tuple) -> the terms of `timing.wcrt`
+          ("d_tx", memory demand, service time, bus tuple, tx tuple),
+          ("d_noc", flits, hops, router delay, route tuple) and
+          ("d_rx", memory demand, service time, bus tuple, rx tuple)
+              -> `timing.tx_latency`, `noc_latency` and `rx_latency`
+          ("bindings",) -> a dict from (task ids..., core ids...), in
+              binding order, to a weak reference to the binding's
+              `mapping.BindingStage`. Each `MappingResult` holds its stage,
+              and an entry is removed when its stage dies, so the dict
+              holds only the stages of live results.
         """
         return {}
 

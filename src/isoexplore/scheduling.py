@@ -122,11 +122,11 @@ class BudgetAssignment:
 class Placement:
     """Where one binding puts its work.
 
-    `tasks_on_core` maps each hosting core id to its tasks, in declaration
-    order. `tiles` holds one (tile, hosting cores, outbound, inbound) entry
-    per hosting tile, in architecture order, with the transfers in routing
-    order. A transfer leaves its producer's tile and enters its consumer's,
-    so every tile with traffic is a hosting tile.
+    `tasks_on_core` maps each hosting core id, in id order, to its tasks,
+    in declaration order. `tiles` holds one (tile, hosting cores, outbound,
+    inbound) entry per hosting tile, in architecture order, with the
+    transfers in routing order. A transfer leaves its producer's tile and
+    enters its consumer's, so every tile with traffic is a hosting tile.
     """
 
     tasks_on_core: dict[str, tuple[str, ...]]
@@ -151,7 +151,8 @@ def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -
         if hosting:
             tiles.append((tile, hosting, tuple(out_of.get(tile.id, ())),
                           tuple(in_of.get(tile.id, ()))))
-    return Placement({c: tuple(ts) for c, ts in tasks_on_core.items()}, tuple(tiles))
+    return Placement({c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
+                     tuple(tiles))
 
 
 def check_feasibility(
@@ -215,11 +216,9 @@ def _tabled(
     effective_capacity: int | None = None,
     slot_len: int | None = None,
 ) -> ArbitrationTuple:
-    """`make_tuple(...)`, built on the first call for `key` and kept in the
-    spec's tables under it."""
-    t = tables.get(key)
-    if t is None:
-        t = tables[key] = make_tuple(policy, weight, effective_capacity, slot_len)
+    """`make_tuple(...)`, stored in the spec's tables under `key`. Callers
+    look the key up first: no tuple is empty, so `tables.get(key) or`."""
+    tables[key] = t = make_tuple(policy, weight, effective_capacity, slot_len)
     return t
 
 
@@ -258,7 +257,8 @@ def refine_tuples(
         if tid in reserved_tiles and bus_policy.work_conserving:
             k_bus -= (len(tile.cores) - len(hosting)) * bmw
         ts.bus_capacity[tid] = k_bus
-        bus = ts.bus[tid] = _tabled(tables, ("bus", tid, bmw, k_bus), bus_policy, bmw, k_bus)
+        key = ("bus", tid, bmw, k_bus)
+        bus = ts.bus[tid] = tables.get(key) or _tabled(tables, key, bus_policy, bmw, k_bus)
 
         for core in hosting:
             on_core = placement.tasks_on_core[core.id]
@@ -269,8 +269,9 @@ def refine_tuples(
             ts.core_capacity[core.id] = k_core
             for task_id in on_core:
                 w = task_weights[task_id]
-                ts.core[task_id] = _tabled(
-                    tables, ("core", tid, w, k_core), core_policy, w, k_core)
+                key = ("core", tid, w, k_core)
+                ts.core[task_id] = tables.get(key) or _tabled(
+                    tables, key, core_policy, w, k_core)
 
         for kind, out, traffic, policy in (
             ("tx", ts.tx, outbound, tile.tx_policy),
@@ -284,11 +285,13 @@ def refine_tuples(
             else:
                 k_na = policy.capacity
             for inst, w in zip(traffic, weights):
-                out[inst.key] = _tabled(
-                    tables, (kind, tid, w, k_na, k_bus), policy, w, k_na, bus.period)
+                key = (kind, tid, w, k_na, k_bus)
+                out[inst.key] = tables.get(key) or _tabled(
+                    tables, key, policy, w, k_na, bus.period)
 
     lp = spec.architecture.noc.link_policy
     for inst in instances:
         w = message_weights[inst.key]
-        ts.route[inst.key] = _tabled(tables, ("route", w), lp, w)
+        key = ("route", w)
+        ts.route[inst.key] = tables.get(key) or _tabled(tables, key, lp, w)
     return ts

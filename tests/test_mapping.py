@@ -1,5 +1,6 @@
 """Binding decode, routing, isolation schemes, objectives, documents."""
 
+import gc
 import json
 from random import Random
 
@@ -453,3 +454,24 @@ def test_reordered_binding_names_its_own_overloaded_core():
             from_bindings(parse_spec(text), backward).to_doc())
         differs.append(kept.reason != doc.get("reason"))
     assert sum(differs) == 5
+
+
+def test_binding_stages_live_only_as_long_as_their_results():
+    spec = generate_spec("networking", (4, 4), 0)
+    rng = Random(2)
+    genotypes = [random_genotype(spec, rng) for _ in range(30)]
+    results = [decode(spec, g, mode) for g in genotypes for mode in ExplorationMode]
+    stages = spec.tables[("bindings",)]
+    keys = [(*r.bindings, *r.bindings.values()) for r in results]
+    assert len(stages) == len(set(keys))
+    assert all(stages[k]() is r.stage for k, r in zip(keys, results))
+    del results
+    gc.collect()
+    assert len(stages) == 0
+    for mode in ExplorationMode:
+        decode(spec, genotypes[0], mode)
+        size = len(spec.tables)
+        for _ in range(5):
+            decode(spec, genotypes[0], mode)
+            assert len(spec.tables) == size
+    assert len(stages) == 0

@@ -98,6 +98,10 @@ class RoutedInstance:
 
 @dataclass
 class MappingResult:
+    """One decoded mapping. Results of the same bindings share `stage`, and
+    through it `instances`, `placement` and `budget`: read them, never
+    change them."""
+
     mode: ExplorationMode
     bindings: dict[str, str]
     reserved_cores: frozenset[str]          # effective (masked) core flags
@@ -497,7 +501,8 @@ def _build(
     for k, src, dst, md, src_st, flits, hops, dst_st in stage.transfer_args:
         parts = (
             _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
-            _term(tables, ("d_noc", flits, hops, router_delay, route[k]), timing.noc_latency),
+            _term(tables, ("d_noc", flits, hops, router_delay, route[k]),
+                  timing.noc_latency),
             _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
         )
         transfer_parts[k] = parts

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from isoexplore import generate_spec
-from isoexplore.errors import BoundViolation, DomainError
+from isoexplore.errors import BoundViolation, DomainError, SimHorizonExceeded
 from isoexplore.mapping import from_bindings, random_genotype, decode
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.simoracle import (
@@ -205,6 +205,19 @@ def test_trial_golden_on_remote_mapping(small_mesh_spec, load):
     assert (res.events, res.makespan) == (events, makespan)
     assert res.responses == responses
     assert res.traversals == traversals
+
+
+@pytest.mark.parametrize("load", sorted(GOLDEN))
+def test_event_cap_trips_at_the_exact_count(small_mesh_spec, load):
+    # The cap counts every popped event: a trial capped at its own event
+    # count runs to the same end, and one event less raises.
+    mapping = from_bindings(small_mesh_spec, REMOTE)
+    cfg = dict(seed=7, phantom_load=load, jitter=True, pattern="mix")
+    res = simulate(small_mesh_spec, mapping, TrialConfig(**cfg))
+    assert res == simulate(small_mesh_spec, mapping,
+                           TrialConfig(**cfg, max_events=res.events))
+    with pytest.raises(SimHorizonExceeded):
+        simulate(small_mesh_spec, mapping, TrialConfig(**cfg, max_events=res.events - 1))
 
 
 def test_exclusive_path_is_observed_exactly():

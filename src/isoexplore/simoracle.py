@@ -23,22 +23,28 @@ entry, and a table longer than the cap could not turn once within it.
 Tiles that host no task (and so carry no traffic) and links no transfer
 crosses get no table, so their capacities are not limited.
 
-Each slot-table entry is an owner object that says itself whether the
-arbiter may grant it now (`busy`) and whether it has real work (`real`):
-a queue of jobs, stalled memory words, packets or flits; a TX or RX
-adapter, which holds the bus while one of its windows is open; or a
-phantom. Adversaries ("phantoms") own exactly the slots the mapping left
-free; reserved tiles and exclusively allocated cores have none, and a
-reserved tile's unused bus slots belong to owners whose queue stays empty.
-While a shared arbiter has no real work pending, its rotation is not
-simulated; on wake the pointer position is adversary-chosen. Both are
-behaviours a real background owner could produce, so observed times stay
-genuine.
+Each slot-table entry is an owner object: a queue of jobs, stalled memory
+words, packets or flits; a TX or RX adapter, which holds the bus while one
+of its windows is open; or a phantom. Adversaries ("phantoms") own exactly
+the slots the mapping left free; reserved tiles and exclusively allocated
+cores have none, and a reserved tile's unused bus slots belong to owners
+whose queue stays empty. While a shared arbiter has no real work pending,
+its rotation is not simulated; on wake the pointer position is
+adversary-chosen. Both are behaviours a real background owner could
+produce, so observed times stay genuine.
+
+Every slot grant, a phantom's included, is one event: one call of the
+arbiter's tick, which tests the next slots inline and pushes its own next
+tick. Runs of phantom slots are not batched into one event. Events at the
+same time run in push order, and a real owner can become busy between two
+phantom slots (a word, flit or packet pushed by another arbiter's event at
+that time), so a batched run would grant differently and change trials.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -48,6 +54,8 @@ from .errors import BoundViolation, DomainError, SimHorizonExceeded
 from .mapping import MappingResult, effective_mem_demand
 from .model import ProblemSpec
 from .scheduling import InstanceKey
+
+heappush = heapq.heappush
 
 PATTERNS = ("front", "spread", "back", "random")
 PHANTOM_LOADS = ("max", "random", "none")
@@ -120,27 +128,31 @@ class SweepResult:
 
 
 class _Engine:
-    __slots__ = ("heap", "now", "count", "cap", "seq")
+    __slots__ = ("heap", "count", "cap", "seq")
 
     def __init__(self, cap: int):
         self.heap: list = []
-        self.now = 0
         self.count = 0
         self.cap = cap
-        self.seq = 0
+        self.seq = itertools.count()     # ties at one time pop in push order
 
     def push(self, t: int, fn: Callable[[int], None]) -> None:
-        heapq.heappush(self.heap, (t, self.seq, fn))
-        self.seq += 1
+        heappush(self.heap, (t, next(self.seq), fn))
 
     def run(self) -> None:
-        while self.heap:
-            t, _, fn = heapq.heappop(self.heap)
-            self.now = t
-            self.count += 1
-            if self.count > self.cap:
-                raise SimHorizonExceeded(f"simulation needs more than {self.cap} events")
+        heap, pop, count, cap = self.heap, heapq.heappop, self.count, self.cap
+        while heap:
+            t, _, fn = pop(heap)
+            count += 1
+            if count > cap:
+                raise SimHorizonExceeded(f"simulation needs more than {cap} events")
             fn(t)
+        self.count = count
+
+
+# What a tick reads for a phantom's slot under each phantom load: always
+# busy, never busy, or None for one `rng.random() < 0.7` per test.
+_PHANTOM_PROBE = {"max": True, "none": False, "random": None}
 
 
 class _SlotArbiter:
@@ -151,6 +163,12 @@ class _SlotArbiter:
     the table is a fixed wall-clock timetable whose idle slots burn time.
     Rotation is simulated only while real work is pending. Each owner
     other than a phantom learns this arbiter as its `arbiter`.
+
+    Each slot is compiled once into the probe a tick tests inline: the
+    owner's queue (busy while not empty), an adapter `_Unit`, or the
+    phantom load's probe. `grant(owner, start, end)` is called for each
+    granted slot; for a phantom only if `grant_phantoms`, since only an
+    adapter's windows care who holds them.
     """
 
     def __init__(
@@ -162,22 +180,41 @@ class _SlotArbiter:
         delay: int,
         work_conserving: bool,
         grant: Callable[[object, int, int], None],
+        load: str = "max",
+        grant_phantoms: bool = False,
     ):
         if not slots:
             raise DomainError("arbiter with an empty slot table")
-        self.eng = eng
         self.rng = rng
+        self.random = rng.random
+        self.heap = eng.heap
+        self.seq = eng.seq
         self.slots = slots
+        phantom = _PHANTOM_PROBE[load]
+        self.probes = [phantom if o.phantom else o if o.__class__ is _Unit else o.queue
+                       for o in slots]
+        owners = [o for o in dict.fromkeys(slots) if not o.phantom]
+        for owner in owners:
+            owner.arbiter = self
+        # the real-work test: some owner's queue, or an open adapter window
+        # whose transfer has a packet waiting
+        self.queues = [o.queue for o in owners if o.__class__ is not _Unit]
+        self.units = [o for o in owners if o.__class__ is _Unit]
         self.slot_len = slot_len
         self.delay = delay
         self.work_conserving = work_conserving
         self.grant = grant
-        self.owners = [o for o in dict.fromkeys(slots) if not o.phantom]
-        for owner in self.owners:
-            owner.arbiter = self
+        self.grant_phantoms = grant_phantoms
+        self.tick = self._tick_wc if work_conserving else self._tick_tdm
         self.idx = 0
         self.last = None
         self.sleeping = True
+
+    def close(self) -> None:
+        """Drop the tables, which point back at this arbiter through their
+        owners, so that a finished trial is freed by reference counting."""
+        self.slots = self.probes = self.queues = self.units = ()
+        self.grant = self.tick = self.last = None
 
     def kick(self, t: int) -> None:
         if not self.sleeping:
@@ -185,10 +222,10 @@ class _SlotArbiter:
         self.sleeping = False
         if self.work_conserving:
             self.idx = self.rng.randrange(len(self.slots))
-            self.eng.push(t, self._advance)
         else:
             span = self.slot_len + self.delay
-            self.eng.push(-(-t // span) * span, self._advance)
+            t = -(-t // span) * span
+        heappush(self.heap, (t, next(self.seq), self.tick))
 
     def window(self, owner, t: int) -> tuple[int, int] | None:
         """The rest of `owner`'s timetable slot at `t`; None when `t` lies
@@ -199,37 +236,58 @@ class _SlotArbiter:
             return None
         return max(t, start + self.delay), start + span
 
-    def _real(self, t: int) -> bool:
-        for owner in self.owners:
-            if owner.real(t):
-                return True
-        return False
-
-    def _advance(self, t: int) -> None:
-        if not self._real(t):
-            self.sleeping = True
+    def _tick_wc(self, t: int) -> None:
+        if not any(self.queues):
+            for unit in self.units:
+                if t < unit.until and unit.flow.queue:
+                    break
+            else:
+                self.sleeping = True
+                return
+        probes = self.probes
+        n = len(probes)
+        i = self.idx
+        for _ in range(n):
+            probe = probes[i]
+            i = i + 1 if i + 1 < n else 0
+            if probe is True or (probe is None and self.random() < 0.7):
+                phantom = True
+            elif not probe or probe.__class__ is _Unit and (
+                    t >= probe.until or not (probe.flow.phantom or probe.flow.queue)):
+                continue
+            else:
+                phantom = False
+            self.idx = i
+            owner = self.slots[i - 1]           # -1 after a wrap: the last slot
+            last = self.last
+            start = t if last is owner or last is None else t + self.delay
+            self.last = owner
+            end = start + self.slot_len
+            heappush(self.heap, (end, next(self.seq), self.tick))
+            if not phantom or self.grant_phantoms:
+                self.grant(owner, start, end)
             return
-        if self.work_conserving:
-            for _ in range(len(self.slots)):
-                owner = self.slots[self.idx]
-                self.idx = (self.idx + 1) % len(self.slots)
-                if owner.busy(t):
-                    d = self.delay if (self.last is not None and owner is not self.last) else 0
-                    self.last = owner
-                    start = t + d
-                    self.eng.push(start + self.slot_len, self._advance)
-                    self.grant(owner, start, start + self.slot_len)
-                    return
-            if self._real(t):
-                raise RuntimeError("arbiter stalled with real work pending")
-            self.sleeping = True
-        else:
-            span = self.slot_len + self.delay
-            owner = self.slots[(t // span) % len(self.slots)]
-            self.eng.push(t + span, self._advance)
-            if owner.busy(t):
-                self.last = owner
-                self.grant(owner, t + self.delay, t + span)
+        raise RuntimeError("arbiter stalled with real work pending")
+
+    def _tick_tdm(self, t: int) -> None:
+        if not any(self.queues):
+            for unit in self.units:
+                if t < unit.until and unit.flow.queue:
+                    break
+            else:
+                self.sleeping = True
+                return
+        span = self.slot_len + self.delay
+        heappush(self.heap, (t + span, next(self.seq), self.tick))
+        i = (t // span) % len(self.probes)
+        probe = self.probes[i]
+        if probe is True or (probe is None and self.random() < 0.7):
+            if not self.grant_phantoms:
+                return
+        elif not probe or probe.__class__ is _Unit and (
+                t >= probe.until or not (probe.flow.phantom or probe.flow.queue)):
+            return
+        self.grant(self.slots[i], t + self.delay, t + span)
 
 
 # ------------------------------------------------------------------ entities
@@ -238,9 +296,8 @@ class _SlotArbiter:
 class _Owner:
     """Slot owner serving one queue: a task's jobs, a core's stalled
     memory words, one transfer's packets at an adapter or one flow's flits
-    on a link. A reserved slot nobody may use is an owner whose queue is
-    never filled. No owner defines `__len__` or `__bool__`: an owner is
-    what `_Unit.real` returns for "real work", so it must test true."""
+    on a link; busy, and real work, while the queue is not empty. A
+    reserved slot nobody may use is an owner whose queue is never filled."""
 
     __slots__ = ("queue", "arbiter")
     phantom = False
@@ -249,11 +306,6 @@ class _Owner:
         self.queue: deque = deque()
         self.arbiter: _SlotArbiter | None = None     # the one whose table holds it
 
-    def busy(self, t: int) -> bool:
-        return bool(self.queue)
-
-    real = busy
-
     def put(self, item, t: int) -> None:
         self.queue.append(item)
         self.arbiter.kick(t)
@@ -261,15 +313,13 @@ class _Owner:
 
 class _Phantom:
     """Background owner of a slot the mapping left free: busy as the
-    trial's phantom load says. It has no real work, so arbiters never ask
-    it for any, and its empty queue makes its grants move nothing."""
+    trial's phantom load says, never real work, and its empty queue makes
+    its grants move nothing. Each is its own object, because a switch
+    delay is charged whenever the granted owner changes."""
 
-    __slots__ = ("busy",)
+    __slots__ = ()
     phantom = True
     queue = ()
-
-    def __init__(self, busy: Callable[[int], bool]):
-        self.busy = busy
 
 
 class _Job:
@@ -312,9 +362,9 @@ class _Unit:
     """TX or RX adapter, granted windows per transfer by its own arbiter,
     and the adapter's owner on its tile bus: busy while a window is open,
     for a transfer or for background traffic, whose words contend on the
-    bus too; real while the open window's transfer has a packet waiting.
-    A packet whose last word has moved goes on to `step` (inject or
-    deliver)."""
+    bus too; real work while the open window's transfer has a packet
+    waiting. A packet whose last word has moved goes on to `step` (inject
+    or deliver)."""
 
     __slots__ = ("step", "flow", "until", "arbiter")
     phantom = False
@@ -325,11 +375,10 @@ class _Unit:
         self.until = 0                  # its end
         self.arbiter: _SlotArbiter | None = None     # the tile bus
 
-    def busy(self, t: int) -> bool:
-        return t < self.until and (self.flow.phantom or bool(self.flow.queue))
-
-    def real(self, t: int) -> _Owner | None:
-        return self.flow if t < self.until and self.flow.queue else None
+    def grant(self, flow, start: int, end: int) -> None:
+        self.flow, self.until = flow, end
+        if not flow.phantom:
+            self.arbiter.kick(start)
 
 
 # ----------------------------------------------------------------- scenario
@@ -400,17 +449,17 @@ class _Sim:
             spec.application, mapping.bindings, self.arch.tile_id_of)
         self.masters: dict[str, tuple[_Owner, _Owner]] = {}  # task -> jobs, core's words
         self.routes: dict[InstanceKey, tuple] = {}   # transfer -> tx, links, rx, words, flits
+        self.arbiters: list[_SlotArbiter] = []
         self._build()
         self._release_jobs()
 
     # -- construction
 
-    def _phantom_busy(self, t: int) -> bool:
-        if self.cfg.phantom_load == "max":
-            return True
-        if self.cfg.phantom_load == "none":
-            return False
-        return self.rng.random() < 0.7
+    def _arbiter(self, slots: list, slot_len: int, delay: int, work_conserving: bool,
+                 grant: Callable[[object, int, int], None], grant_phantoms=False) -> None:
+        self.arbiters.append(_SlotArbiter(
+            self.eng, self.rng, slots, slot_len, delay, work_conserving, grant,
+            self.cfg.phantom_load, grant_phantoms))
 
     def _sized(self, capacity: int, what: str) -> int:
         """`capacity`, once a slot table that long fits in the event cap."""
@@ -422,7 +471,7 @@ class _Sim:
         free = capacity - len(slots)
         if free < 0:
             raise DomainError("slot table exceeds its arbiter capacity")
-        return slots + [_Phantom(self._phantom_busy) for _ in range(free)]
+        return slots + [_Phantom() for _ in range(free)]
 
     def _build(self) -> None:
         arch, mp = self.arch, self.mapping
@@ -449,7 +498,7 @@ class _Sim:
                 (2, inbound, tile.rx_policy, self._delivered),
             ):
                 if not traffic:
-                    adapters.append(_Owner() if reserved else _Phantom(self._phantom_busy))
+                    adapters.append(_Owner() if reserved else _Phantom())
                     continue
                 unit = _Unit(step)
                 adapters.append(unit)
@@ -458,11 +507,9 @@ class _Sim:
                 self._sized(cap, f"{tile.id} {'tx' if side == 0 else 'rx'}")
                 flows = [self.routes[i.key][side] for i in traffic
                          for _ in range(msg_weights[i.key])]
-                _SlotArbiter(
-                    self.eng, self.rng, self._fill(flows, cap),
-                    tuples.bus[tile.id].period, pol_u.arb_delay, pol_u.work_conserving,
-                    grant=lambda o, s, e, u=unit: self._unit_grant(u, o, s, e),
-                )
+                self._arbiter(self._fill(flows, cap), tuples.bus[tile.id].period,
+                              pol_u.arb_delay, pol_u.work_conserving, unit.grant,
+                              grant_phantoms=True)
 
             # tile bus: per-core masters, then TX, then RX. Idle-core slots
             # on reserved tiles either vanish (work-conserving) or stay as
@@ -482,26 +529,20 @@ class _Sim:
                         self.masters[t] = (jobs, words)
                         own += [jobs] * weights[t]
                     pol = core.policy
-                    _SlotArbiter(
-                        self.eng, self.rng, self._fill(own, cap),
-                        pol.slot_len, pol.arb_delay, pol.work_conserving,
-                        grant=self._core_grant,
-                    )
+                    self._arbiter(self._fill(own, cap), pol.slot_len, pol.arb_delay,
+                                  pol.work_conserving, self._core_grant)
                 elif reserved:
                     if not tile.bus_policy.work_conserving:
                         table += [_Owner()] * w
                 else:
-                    table += [_Phantom(self._phantom_busy)] * w
+                    table += [_Phantom()] * w
             for owner in adapters:
                 table += [owner] * w
             if len(table) != tuples.bus_capacity[tile.id]:
                 raise DomainError("bus table does not match the refined capacity")
             pol = tile.bus_policy
-            _SlotArbiter(
-                self.eng, self.rng, table, pol.slot_len, pol.arb_delay,
-                pol.work_conserving,
-                grant=lambda o, s, e, st=tile.memory.service_time: self._bus_grant(o, s, st),
-            )
+            self._arbiter(table, pol.slot_len, pol.arb_delay, pol.work_conserving,
+                          self._bus_grant)
 
         # mesh links: one flit per cycle to the granted flow
         lp = arch.noc.link_policy
@@ -512,11 +553,8 @@ class _Sim:
             for link, owner in zip(inst.links, self.routes[inst.key][1]):
                 flows_on_link.setdefault(link, []).extend([owner] * msg_weights[inst.key])
         for flows in flows_on_link.values():
-            _SlotArbiter(
-                self.eng, self.rng, self._fill(flows, lp.capacity),
-                self.tau, 0, lp.work_conserving,
-                grant=lambda o, s, e: self._link_grant(o, s),
-            )
+            self._arbiter(self._fill(flows, lp.capacity), self.tau, 0,
+                          lp.work_conserving, self._link_grant)
     # -- job lifecycle
 
     def _release_jobs(self) -> None:
@@ -565,8 +603,6 @@ class _Sim:
             self._core_grant(owner, *window)
 
     def _core_grant(self, owner, start: int, end: int) -> None:
-        if not owner.queue:
-            return
         job = owner.queue[0]
         job.window_end = end
         # An in-flight segment event (seg_start >= 0) will pick the new
@@ -621,24 +657,21 @@ class _Sim:
 
     # -- bus
 
-    def _bus_grant(self, owner, start: int, st: int) -> None:
-        if isinstance(owner, _Unit):
-            flow = owner.real(start)
-            if flow is None:
+    def _bus_grant(self, owner, start: int, end: int) -> None:
+        # A bus slot is one memory service time, so the word moved in it
+        # lands at the slot's end.
+        if owner.__class__ is _Unit:
+            flow = owner.flow
+            if start >= owner.until or not flow.queue:
                 return          # background window, or the window just lapsed
             packet = flow.queue[0]
             packet.moved += 1
             if packet.moved == packet.words:
                 flow.queue.popleft()
-                self.eng.push(start + st, lambda now, p=packet, step=owner.step: step(p, now))
-        elif owner.queue:       # phantoms and inert owners move nothing
+                self.eng.push(end, lambda now, p=packet, step=owner.step: step(p, now))
+        else:
             job = owner.queue.popleft()
-            self.eng.push(start + st, lambda now, j=job: self._word_done(j, now))
-
-    def _unit_grant(self, unit: _Unit, flow, start: int, end: int) -> None:
-        unit.flow, unit.until = flow, end
-        if not flow.phantom:
-            unit.arbiter.kick(start)
+            self.eng.push(end, lambda now, j=job: self._word_done(j, now))
 
     # -- transfers
 
@@ -650,13 +683,11 @@ class _Sim:
         for i in range(packet.flits):
             packet.links[0].put((packet, i), t)
 
-    def _link_grant(self, owner, t: int) -> None:
-        if not owner.queue:
-            return              # a phantom's grant moves nothing
+    def _link_grant(self, owner, start: int, end: int) -> None:
         flit = owner.queue.popleft()
         packet, idx = flit
         pos = packet.links.index(owner)
-        arrive = t + self.arch.noc.router_delay * self.tau
+        arrive = start + self.arch.noc.router_delay * self.tau
         if pos + 1 < len(packet.links):
             nxt = packet.links[pos + 1]
             self.eng.push(arrive, lambda now, f=flit, o=nxt: o.put(f, now))
@@ -673,6 +704,8 @@ class _Sim:
 
     def run(self) -> TrialResult:
         self.eng.run()
+        for arbiter in self.arbiters:
+            arbiter.close()
         self.result.events = self.eng.count
         return self.result
 

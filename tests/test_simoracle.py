@@ -1,6 +1,7 @@
 """Adversarial discrete-event replay of the analytic bounds."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -15,6 +16,10 @@ from isoexplore.simoracle import (
     PATTERNS,
     PHANTOM_LOADS,
     TrialConfig,
+    _Engine,
+    _Owner,
+    _Phantom,
+    _SlotArbiter,
     adversarial_sweep,
     simulate,
 )
@@ -130,6 +135,30 @@ def test_rejects_infeasible_mapping(two_tile_spec):
         simulate(two_tile_spec, res, TrialConfig(seed=1))
 
 
+# ------------------------------------------------------------------- arbiter
+
+
+def test_work_conserving_arbiter_charges_delay_between_distinct_owners():
+    # Random(0) starts the rotation at slot 3, so the grants go to p1, p2,
+    # then twice to the owner, whose two queued items are then served.
+    eng = _Engine(100)
+    owner, p1, p2 = _Owner(), _Phantom(), _Phantom()
+    grants = []
+
+    def grant(o, start, end):
+        grants.append((o, start, end))
+        if o is owner:
+            owner.queue.popleft()
+
+    arbiter = _SlotArbiter(eng, Random(0), [p2, owner, owner, p1], 10, 3, True,
+                           grant, grant_phantoms=True)
+    owner.queue.extend("ab")
+    arbiter.kick(0)
+    eng.run()
+    assert grants == [(p1, 0, 10), (p2, 13, 23), (owner, 26, 36), (owner, 36, 46)]
+    assert eng.count == 5 and arbiter.sleeping       # 4 grants, then an idle tick
+
+
 # --------------------------------------------------------------------- trials
 
 
@@ -218,6 +247,19 @@ def test_event_cap_trips_at_the_exact_count(small_mesh_spec, load):
                            TrialConfig(**cfg, max_events=res.events))
     with pytest.raises(SimHorizonExceeded):
         simulate(small_mesh_spec, mapping, TrialConfig(**cfg, max_events=res.events - 1))
+
+
+def test_finished_trial_is_freed_by_reference_counting(small_mesh_spec):
+    mapping = from_bindings(small_mesh_spec, REMOTE)
+    gc.collect()
+    gc.disable()
+    try:
+        for load in PHANTOM_LOADS:
+            simulate(small_mesh_spec, mapping, TrialConfig(
+                seed=7, phantom_load=load, jitter=True, pattern="mix"))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exclusive_path_is_observed_exactly():

@@ -78,7 +78,7 @@ class Message:
         if self.src == self.dst or self.src in self.extra_consumers:
             raise ValidationError(f"message {self.id}: src equals a consumer")
 
-    @property
+    @cached_property
     def consumers(self) -> tuple[str, ...]:
         return (self.dst, *self.extra_consumers)
 

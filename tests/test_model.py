@@ -304,6 +304,12 @@ def test_edge_list_adds_consumers():
     msg = spec.application.messages[0]
     assert msg.extra_consumers == ("c",)
     assert set(msg.consumers) == {"b", "c"}
+    # Built once, and not a field: equality, hashing and the emitted
+    # document ignore it.
+    assert msg.consumers is msg.consumers
+    fresh = parse(mutated(edit)).application.messages[0]
+    assert fresh == msg and hash(fresh) == hash(msg)
+    assert emit_spec(spec) == emit_spec(parse(mutated(edit)))
 
 
 def test_empty_task_list_raises():

@@ -43,10 +43,10 @@ that time), so a batched run would grant differently and change trials.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from random import Random
 from typing import Callable
 
@@ -54,8 +54,6 @@ from .errors import BoundViolation, DomainError, SimHorizonExceeded
 from .mapping import MappingResult, effective_mem_demand
 from .model import ProblemSpec
 from .scheduling import InstanceKey
-
-heappush = heapq.heappush
 
 PATTERNS = ("front", "spread", "back", "random")
 PHANTOM_LOADS = ("max", "random", "none")
@@ -140,7 +138,7 @@ class _Engine:
         heappush(self.heap, (t, next(self.seq), fn))
 
     def run(self) -> None:
-        heap, pop, count, cap = self.heap, heapq.heappop, self.count, self.cap
+        heap, pop, count, cap = self.heap, heappop, self.count, self.cap
         while heap:
             t, _, fn = pop(heap)
             count += 1
@@ -180,8 +178,8 @@ class _SlotArbiter:
         delay: int,
         work_conserving: bool,
         grant: Callable[[object, int, int], None],
-        load: str = "max",
-        grant_phantoms: bool = False,
+        load: str,
+        grant_phantoms: bool,
     ):
         if not slots:
             raise DomainError("arbiter with an empty slot table")
@@ -456,7 +454,10 @@ class _Sim:
     # -- construction
 
     def _arbiter(self, slots: list, slot_len: int, delay: int, work_conserving: bool,
-                 grant: Callable[[object, int, int], None], grant_phantoms=False) -> None:
+                 grant: Callable[[object, int, int], None],
+                 grant_phantoms: bool = False) -> None:
+        """Build one slot arbiter under the trial's phantom load; `run`
+        closes it when the trial ends."""
         self.arbiters.append(_SlotArbiter(
             self.eng, self.rng, slots, slot_len, delay, work_conserving, grant,
             self.cfg.phantom_load, grant_phantoms))

@@ -151,7 +151,7 @@ def test_work_conserving_arbiter_charges_delay_between_distinct_owners():
             owner.queue.popleft()
 
     arbiter = _SlotArbiter(eng, Random(0), [p2, owner, owner, p1], 10, 3, True,
-                           grant, grant_phantoms=True)
+                           grant, "max", True)
     owner.queue.extend("ab")
     arbiter.kick(0)
     eng.run()

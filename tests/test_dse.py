@@ -1,5 +1,6 @@
 """Pareto machinery, the quality indicator, and the evolutionary search."""
 
+import hashlib
 import json
 from dataclasses import dataclass
 from random import Random
@@ -12,6 +13,7 @@ from isoexplore.dse import (
     ComparisonResult,
     _fast_nondominated_sort,
     ParetoArchive,
+    _cross_and_mutate,
     _trace_epsilons,
     compare_approaches,
     derive_seed,
@@ -21,7 +23,8 @@ from isoexplore.dse import (
     nondominated,
 )
 from isoexplore.errors import DomainError, NoFeasibleMapping
-from isoexplore.mapping import ExplorationMode
+from isoexplore.generator import generate_spec
+from isoexplore.mapping import ExplorationMode, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 
 from conftest import bundled_text
@@ -266,6 +269,26 @@ def test_derive_seed_is_stable():
     assert derive_seed("a") == derive_seed("a")
     assert derive_seed("a", 1) != derive_seed("a", 2)
     assert derive_seed("a:1") != derive_seed("a", 1) or True  # labels join by ':'
+
+
+# ------------------------------------------------------------------ variation
+
+
+@pytest.mark.parametrize("profile,sha1", [
+    ("networking", "a139c9c2cda9522859e2591e34e6013085eed982"),
+    ("consumer", "822a105483896867885506388daba294c0ea6beb"),
+])
+def test_variation_stream_is_pinned(profile, sha1):
+    # Archives depend on every child and on where variation leaves the
+    # generator, so both are pinned: children breed further children, and
+    # the next draw after the last child is part of the digest.
+    spec = generate_spec(profile, (4, 4), 1)
+    rng = Random(13)
+    pool = [random_genotype(spec, rng) for _ in range(20)]
+    for _ in range(500):
+        a, b = pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]
+        pool.append(_cross_and_mutate(spec, a, b, rng))
+    assert hashlib.sha1(repr((pool[20:], rng.random())).encode()).hexdigest() == sha1
 
 
 # -------------------------------------------------------------------- explore

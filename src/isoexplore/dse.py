@@ -230,25 +230,24 @@ def _tournament(pop: list[_Individual], rng: Random) -> _Individual:
 def _cross_and_mutate(
     spec: ProblemSpec, a: Genotype, b: Genotype, rng: Random
 ) -> Genotype:
-    tasks = spec.application.tasks
-    bindings = tuple(
-        (x if rng.random() < 0.5 else y) for x, y in zip(a.bindings, b.bindings)
+    """Uniform crossover, then one flip or redraw per gene at rate 1/length.
+
+    Every `random()` and `randrange()` call keeps its order, so that a seed
+    gives the same archive."""
+    r = rng.random
+    bindings = [x if r() < 0.5 else y for x, y in zip(a.bindings, b.bindings)]
+    core_flags = [x if r() < 0.5 else y for x, y in zip(a.core_flags, b.core_flags)]
+    tile_flags = [x if r() < 0.5 else y for x, y in zip(a.tile_flags, b.tile_flags)]
+    p = 1.0 / (len(bindings) + len(core_flags) + len(tile_flags))
+    tasks, edges_of = spec.application.tasks, spec.edges_of
+    for i in range(len(bindings)):
+        if r() < p:
+            bindings[i] = rng.randrange(len(edges_of[tasks[i].id]))
+    return Genotype(
+        tuple(bindings),
+        tuple([1 - g if r() < p else g for g in core_flags]),
+        tuple([1 - g if r() < p else g for g in tile_flags]),
     )
-    core_flags = tuple(
-        (x if rng.random() < 0.5 else y) for x, y in zip(a.core_flags, b.core_flags)
-    )
-    tile_flags = tuple(
-        (x if rng.random() < 0.5 else y) for x, y in zip(a.tile_flags, b.tile_flags)
-    )
-    length = len(bindings) + len(core_flags) + len(tile_flags)
-    p = 1.0 / length
-    bindings = tuple(
-        rng.randrange(len(spec.edges_of[tasks[i].id])) if rng.random() < p else g
-        for i, g in enumerate(bindings)
-    )
-    core_flags = tuple((1 - g) if rng.random() < p else g for g in core_flags)
-    tile_flags = tuple((1 - g) if rng.random() < p else g for g in tile_flags)
-    return Genotype(bindings, core_flags, tile_flags)
 
 
 # ------------------------------------------------------------------- explore

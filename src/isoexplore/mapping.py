@@ -10,8 +10,10 @@ A decode runs in two stages. The bindings stage (routes, placement,
 effective memory demand, least weights, feasibility) depends on the
 bindings alone, and results of the same bindings share it while any of
 them is alive. The flags stage (schemes, refined tuples, bounds, makespan
-and objectives) runs on every decode and looks each bound term up in the
-spec's tables by its arguments.
+and objectives) runs once per phenotype (mode, bindings in order, and
+effective flags) while a result of it is alive, and looks each bound term
+up in the spec's tables by its arguments; a repeated phenotype gets the
+live result back.
 """
 
 from __future__ import annotations
@@ -98,9 +100,11 @@ class RoutedInstance:
 
 @dataclass
 class MappingResult:
-    """One decoded mapping. Results of the same bindings share `stage`, and
-    through it `instances`, `placement` and `budget`: read them, never
-    change them."""
+    """One decoded mapping. Two decodes of the same phenotype (the same
+    mode, the same bindings in the same order, the same effective flags)
+    return the same object while it is alive, and results of the same
+    bindings share `stage`, and through it `instances`, `placement` and
+    `budget`: read results, never change them."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
@@ -121,18 +125,22 @@ class MappingResult:
     makespan: int = 0
     throughput: float = 0.0
     objectives: tuple[int, float, float] | None = None  # latency, cores, energy
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "bindings": dict(sorted(self.bindings.items())),
-                "cores": sorted(self.reserved_cores),
-                "tiles": sorted(self.reserved_tiles),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
+        """SHA-1 prefix of the bindings and effective flags, computed once."""
+        if self._digest is None:
+            payload = json.dumps(
+                {
+                    "bindings": dict(sorted(self.bindings.items())),
+                    "cores": sorted(self.reserved_cores),
+                    "tiles": sorted(self.reserved_tiles),
+                },
+                sort_keys=True,
+            )
+            self._digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
+        return self._digest
 
     def to_doc(self) -> dict:
         doc: dict = {
@@ -342,12 +350,14 @@ class BindingStage:
 
     Every result of the same bindings, in the same order, shares one
     stage while any of them is alive: each result holds its stage, and the
-    spec's tables map the bindings to it weakly. A stage never changes
+    spec's tables map the bindings to it weakly. `results` maps (mode,
+    effective reserved cores, effective reserved tiles) weakly to the live
+    result of that phenotype. Apart from `results`, a stage never changes
     after it is built.
     """
 
     __slots__ = ("instances", "placement", "budget", "reason",
-                 "task_args", "transfer_args", "__weakref__")
+                 "task_args", "transfer_args", "results", "__weakref__")
 
     def __init__(self, instances, placement, budget, reason, task_args, transfer_args):
         self.instances: tuple[RoutedInstance, ...] = instances
@@ -356,6 +366,19 @@ class BindingStage:
         self.reason: str | None = reason
         self.task_args: tuple[tuple[str, str, int, int, int], ...] = task_args
         self.transfer_args: tuple[tuple, ...] = transfer_args
+        self.results: dict[tuple, weakref.ref] = {}
+
+
+def _live(refs: dict, key):
+    """What `refs` maps `key` to, or None if nothing or if it has died: a
+    weak reference can be cleared before its callback runs."""
+    ref = refs.get(key)
+    return None if ref is None else ref()
+
+
+def _keep(refs: dict, key, obj) -> None:
+    """Map `key` weakly to `obj`; the entry goes when `obj` dies."""
+    refs[key] = weakref.ref(obj, lambda _, k=key: refs.pop(k, None))
 
 
 _STAGES = ("bindings",)     # the key of the stage map in `spec.tables`
@@ -373,9 +396,9 @@ def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
     if stages is None:
         stages = tables[_STAGES] = {}
     stage_key = (*bindings, *bindings.values())
-    live = stages.get(stage_key)
-    if live is not None:
-        return live()
+    stage = _live(stages, stage_key)
+    if stage is not None:
+        return stage
 
     arch = spec.architecture
     app = spec.application
@@ -427,7 +450,7 @@ def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
     stage = BindingStage(
         instances, placement, budget, reason, tuple(task_args), tuple(transfer_args))
     # The entry goes as soon as the last result that holds the stage does.
-    stages[stage_key] = weakref.ref(stage, lambda _, k=stage_key: stages.pop(k, None))
+    _keep(stages, stage_key, stage)
     return stage
 
 
@@ -438,17 +461,36 @@ def _build(
     flagged_tiles: set[str],
     mode: ExplorationMode,
 ) -> MappingResult:
-    app = spec.application
+    """The live result of the phenotype, or a new one from the flags stage."""
     tile_of = spec.architecture.tile_id_of
-
     stage = _binding_stage(spec, bindings)
-    instances, placement, budget = stage.instances, stage.placement, stage.budget
+    placement = stage.placement
     reserved_tiles = frozenset(
         tile.id for tile, *_ in placement.tiles if tile.id in flagged_tiles)
     reserved_cores = frozenset(
         c for c in placement.tasks_on_core
         if c in flagged_cores and tile_of[c] not in reserved_tiles
     )
+    key = (mode, reserved_cores, reserved_tiles)
+    result = _live(stage.results, key)
+    if result is None:
+        result = _flags_stage(spec, stage, bindings, reserved_cores, reserved_tiles, mode)
+        # Kept only once whole: a decode that raises leaves no entry.
+        _keep(stage.results, key, result)
+    return result
+
+
+def _flags_stage(
+    spec: ProblemSpec,
+    stage: BindingStage,
+    bindings: dict[str, str],
+    reserved_cores: frozenset[str],
+    reserved_tiles: frozenset[str],
+    mode: ExplorationMode,
+) -> MappingResult:
+    app = spec.application
+    tile_of = spec.architecture.tile_id_of
+    instances, placement, budget = stage.instances, stage.placement, stage.budget
 
     schemes: dict[str, IsolationScheme] = {}
     for core_id in placement.tasks_on_core:         # in id order

@@ -433,7 +433,8 @@ class ProblemSpec:
               binding order, to a weak reference to the binding's
               `mapping.BindingStage`. Each `MappingResult` holds its stage,
               and an entry is removed when its stage dies, so the dict
-              holds only the stages of live results.
+              holds only the stages of live results. A stage's `results`
+              maps each phenotype's live result the same way.
         """
         return {}
 

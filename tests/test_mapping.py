@@ -2,6 +2,7 @@
 
 import gc
 import json
+import weakref
 from random import Random
 
 import pytest
@@ -242,8 +243,15 @@ def test_energy_requires_every_coefficient(two_tile_spec):
         broken = json.loads(json.dumps(doc))
         broken["architecture"]["energy"].pop(key)
         spec = parse_spec(json.dumps(broken))
+        with pytest.raises(MissingCoefficient) as raised:
+            from_bindings(spec, SHARED)
+        # The traceback keeps the stage alive, but a decode that raises
+        # leaves no result in it, so the next decode raises too.
+        (stage,) = spec.tables[("bindings",)].values()
+        assert stage().results == {}
         with pytest.raises(MissingCoefficient):
             from_bindings(spec, SHARED)
+        del raised
 
 
 def test_energy_charges_noc_only_for_remote_traffic(two_tile_spec):
@@ -420,6 +428,7 @@ def test_live_results_share_decodes_like_a_fresh_spec(name):
         g = random_genotype(warm, rng)
         for mode in ExplorationMode:
             res = decode(warm, g, mode)
+            assert decode(warm, g, mode) is res
             dump = json.dumps(res.to_doc())
             assert dump == json.dumps(decode(parse_spec(text), g, mode).to_doc())
             kept.append(res)
@@ -448,8 +457,11 @@ def test_reordered_binding_names_its_own_overloaded_core():
     for hosts in (cores[:2], cores[:3], cores[::-5], cores[1::7], cores[2:4], cores[::3]):
         forward = {t: hosts[k % len(hosts)] for k, t in enumerate(tasks)}
         kept = from_bindings(spec, forward)
+        assert from_bindings(spec, forward) is kept
         backward = dict(reversed(forward.items()))
-        doc = from_bindings(spec, backward).to_doc()
+        other = from_bindings(spec, backward)
+        assert other is not kept
+        doc = other.to_doc()
         assert json.dumps(doc) == json.dumps(
             from_bindings(parse_spec(text), backward).to_doc())
         differs.append(kept.reason != doc.get("reason"))
@@ -465,13 +477,77 @@ def test_binding_stages_live_only_as_long_as_their_results():
     keys = [(*r.bindings, *r.bindings.values()) for r in results]
     assert len(stages) == len(set(keys))
     assert all(stages[k]() is r.stage for k, r in zip(keys, results))
-    del results
-    gc.collect()
-    assert len(stages) == 0
+    phenotypes = [(r.mode, r.reserved_cores, r.reserved_tiles) for r in results]
+    assert all(r.stage.results[p]() is r for p, r in zip(phenotypes, results))
+    held = [r.stage for r in results]
+    gc.disable()            # reference counting alone empties both maps
+    try:
+        del results
+        assert not any(s.results for s in held)
+        del held
+        assert len(stages) == 0
+    finally:
+        gc.enable()
     for mode in ExplorationMode:
         decode(spec, genotypes[0], mode)
         size = len(spec.tables)
+        kept = decode(spec, genotypes[0], mode)
         for _ in range(5):
-            decode(spec, genotypes[0], mode)
+            assert decode(spec, genotypes[0], mode) is kept
             assert len(spec.tables) == size
+        assert len(kept.stage.results) == 1
+        del kept
+        decode(spec, genotypes[0], mode)
+        assert len(spec.tables) == size
     assert len(stages) == 0
+
+
+def test_a_repeated_phenotype_returns_its_live_result():
+    spec = generate_spec("networking", (4, 4), 0)
+    arch = spec.architecture
+    rng = Random(4)
+    for _ in range(20):
+        g = random_genotype(spec, rng)
+        res = decode(spec, g)
+        assert decode(spec, g) is res
+        args = (res.bindings, res.reserved_cores, res.reserved_tiles)
+        assert from_bindings(spec, *args) is res
+        # flags of cores and tiles that host nothing are masked out
+        idle_cores = {c.id for c in arch.cores} - set(res.placement.tasks_on_core)
+        idle_tiles = {t.id for t in arch.tiles} - {t.id for t, *_ in res.placement.tiles}
+        assert idle_cores and idle_tiles
+        assert from_bindings(spec, res.bindings, res.reserved_cores | idle_cores,
+                             res.reserved_tiles | idle_tiles) is res
+        # the same bindings and flags under another mode: another result,
+        # whose document names its own mode
+        fixed = decode(spec, g, ExplorationMode.FIXED_CS)
+        free = from_bindings(spec, res.bindings)
+        assert fixed is not free and fixed.stage is free.stage
+        a, b = fixed.to_doc(), free.to_doc()
+        assert (a.pop("mode"), b.pop("mode")) == ("FixedCS", "IsolationAware")
+        assert json.dumps(a) == json.dumps(b)
+
+
+def test_dead_references_are_misses():
+    # A weak reference can be cleared before its callback removes it; a
+    # decode that finds one builds afresh and keeps the newer entry.
+    text = bundled_text("specs", "join_two_tile.json")
+    spec = parse_spec(text)
+    expected = json.dumps(from_bindings(parse_spec(text), SHARED).to_doc())
+    dead = weakref.ref(type("Gone", (), {})())
+    assert dead() is None
+    first = from_bindings(spec, SHARED)
+    stages = spec.tables[("bindings",)]
+    stage_key = (*SHARED, *SHARED.values())
+    stages[stage_key] = dead
+    second = from_bindings(spec, SHARED)
+    assert second.stage is not first.stage and stages[stage_key]() is second.stage
+    phenotype = (second.mode, second.reserved_cores, second.reserved_tiles)
+    second.stage.results[phenotype] = dead
+    third = from_bindings(spec, SHARED)
+    assert third is not second and third.stage is second.stage
+    assert second.stage.results[phenotype]() is third
+    del first, second
+    assert stages[stage_key]() is third.stage
+    assert third.stage.results[phenotype]() is third
+    assert json.dumps(third.to_doc()) == expected

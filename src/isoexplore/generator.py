@@ -8,6 +8,7 @@ cycle grid so generated problems are directly simulatable.
 
 from __future__ import annotations
 
+from math import isqrt
 from random import Random
 
 from .arbitration import ArbitrationPolicy
@@ -91,6 +92,14 @@ def _grid(v: int) -> int:
     return v // TAU * TAU
 
 
+def _forward_pair(n: int, rank: int) -> tuple[int, int]:
+    """The pair (i, j), i < j < n, at `rank` in lexicographic order."""
+    # Counted from the end, row i = n - 2 - k holds k + 1 pairs.
+    k = (isqrt(8 * (n * (n - 1) // 2 - 1 - rank) + 1) - 1) // 2
+    i = n - 2 - k
+    return i, rank - i * (2 * n - i - 1) // 2 + i + 1
+
+
 def generate_spec(
     profile: str = "consumer",
     mesh: tuple[int, int] = (4, 4),
@@ -138,12 +147,15 @@ def generate_spec(
             )
         )
 
-    pairs = [(i, j) for i in range(n_tasks) for j in range(i + 1, n_tasks)]
-    chosen = rng.sample(pairs, min(n_msgs, len(pairs)))
+    # Ranks of the forward pairs: a range draws as the list of pairs would,
+    # without holding all n(n-1)/2 of them.
+    ranks = range(n_tasks * (n_tasks - 1) // 2)
+    chosen = rng.sample(ranks, min(n_msgs, len(ranks)))
     while len(chosen) < n_msgs:
-        chosen.append(rng.choice(pairs))
+        chosen.append(rng.choice(ranks))
     msgs = []
-    for k, (i, j) in enumerate(chosen):
+    for k, rank in enumerate(chosen):
+        i, j = _forward_pair(n_tasks, rank)
         msgs.append(
             Message(
                 id=f"m{k:02d}",

@@ -461,10 +461,11 @@ def _build(
     flagged_tiles: set[str],
     mode: ExplorationMode,
 ) -> MappingResult:
-    """The live result of the phenotype, or a new one from the flags stage."""
+    """The live result of the phenotype, or a new one on its bindings stage."""
+    app = spec.application
     tile_of = spec.architecture.tile_id_of
     stage = _binding_stage(spec, bindings)
-    placement = stage.placement
+    instances, placement, budget = stage.instances, stage.placement, stage.budget
     reserved_tiles = frozenset(
         tile.id for tile, *_ in placement.tiles if tile.id in flagged_tiles)
     reserved_cores = frozenset(
@@ -473,24 +474,8 @@ def _build(
     )
     key = (mode, reserved_cores, reserved_tiles)
     result = _live(stage.results, key)
-    if result is None:
-        result = _flags_stage(spec, stage, bindings, reserved_cores, reserved_tiles, mode)
-        # Kept only once whole: a decode that raises leaves no entry.
-        _keep(stage.results, key, result)
-    return result
-
-
-def _flags_stage(
-    spec: ProblemSpec,
-    stage: BindingStage,
-    bindings: dict[str, str],
-    reserved_cores: frozenset[str],
-    reserved_tiles: frozenset[str],
-    mode: ExplorationMode,
-) -> MappingResult:
-    app = spec.application
-    tile_of = spec.architecture.tile_id_of
-    instances, placement, budget = stage.instances, stage.placement, stage.budget
+    if result is not None:
+        return result
 
     schemes: dict[str, IsolationScheme] = {}
     for core_id in placement.tasks_on_core:         # in id order
@@ -514,51 +499,51 @@ def _flags_stage(
         reason=stage.reason,
         budget=budget,
     )
-    if budget is None:
-        return result
-    task_weights = budget.task_weights
-
-    exclusive = {
-        c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
-    }
-    tuples = scheduling.refine_tuples(
-        spec, placement, instances, task_weights, budget.message_weights,
-        reserved_tiles, exclusive,
-    )
-    result.tuples = tuples
-
-    # Each bound term is kept in the spec's tables, keyed by its arguments.
-    tables = spec.tables
-    bus, core_tuple = tuples.bus, tuples.core
-    task_parts, task_wcrt = result.task_parts, result.task_wcrt
-    for task_id, tile_id, wcet, md, st in stage.task_args:
-        parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
-                      timing.wcrt)
-        task_parts[task_id] = parts
-        task_wcrt[task_id] = sum(parts)
-
-    router_delay = spec.architecture.noc.router_delay
-    tx, route, rx = tuples.tx, tuples.route, tuples.rx
-    transfer_parts, transfer_wctt = result.transfer_parts, result.transfer_wctt
-    for k, src, dst, md, src_st, flits, hops, dst_st in stage.transfer_args:
-        parts = (
-            _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
-            _term(tables, ("d_noc", flits, hops, router_delay, route[k]),
-                  timing.noc_latency),
-            _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
+    if budget is not None:
+        task_weights = budget.task_weights
+        exclusive = {
+            c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
+        }
+        tuples = scheduling.refine_tuples(
+            spec, placement, instances, task_weights, budget.message_weights,
+            reserved_tiles, exclusive,
         )
-        transfer_parts[k] = parts
-        transfer_wctt[k] = sum(parts)
+        result.tuples = tuples
 
-    result.makespan = timing.makespan(app, task_wcrt, transfer_wctt)
-    result.throughput = timing.throughput(task_wcrt, transfer_wctt)
+        # Each bound term is kept in the spec's tables, keyed by its arguments.
+        tables = spec.tables
+        bus, core_tuple = tuples.bus, tuples.core
+        task_parts, task_wcrt = result.task_parts, result.task_wcrt
+        for task_id, tile_id, wcet, md, st in stage.task_args:
+            parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
+                          timing.wcrt)
+            task_parts[task_id] = parts
+            task_wcrt[task_id] = sum(parts)
 
-    usage = resource_usage(placement, reserved_tiles, reserved_cores, task_weights)
-    result.objectives = (
-        result.makespan,
-        usage,
-        energy(spec, bindings, instances, usage),
-    )
+        router_delay = spec.architecture.noc.router_delay
+        tx, route, rx = tuples.tx, tuples.route, tuples.rx
+        transfer_parts, transfer_wctt = result.transfer_parts, result.transfer_wctt
+        for k, src, dst, md, src_st, flits, hops, dst_st in stage.transfer_args:
+            parts = (
+                _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
+                _term(tables, ("d_noc", flits, hops, router_delay, route[k]),
+                      timing.noc_latency),
+                _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
+            )
+            transfer_parts[k] = parts
+            transfer_wctt[k] = sum(parts)
+
+        result.makespan = timing.makespan(app, task_wcrt, transfer_wctt)
+        result.throughput = timing.throughput(task_wcrt, transfer_wctt)
+
+        usage = resource_usage(placement, reserved_tiles, reserved_cores, task_weights)
+        result.objectives = (
+            result.makespan,
+            usage,
+            energy(spec, bindings, instances, usage),
+        )
+    # Kept only once whole: a decode that raises leaves no entry.
+    _keep(stage.results, key, result)
     return result
 
 

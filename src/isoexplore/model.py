@@ -112,16 +112,9 @@ class ApplicationGraph:
     def task(self, task_id: str) -> Task:
         return self._tasks_by_id[task_id]
 
-    def message(self, msg_id: str) -> Message:
-        return self._messages_by_id[msg_id]
-
     @cached_property
     def _tasks_by_id(self) -> dict[str, Task]:
         return {t.id: t for t in self.tasks}
-
-    @cached_property
-    def _messages_by_id(self) -> dict[str, Message]:
-        return {m.id: m for m in self.messages}
 
     @cached_property
     def outputs_of(self) -> dict[str, tuple[Message, ...]]:

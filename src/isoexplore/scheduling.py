@@ -208,20 +208,6 @@ class TupleSet:
     core_capacity: dict[str, int]                # effective, per hosting core
 
 
-def _tabled(
-    tables: dict,
-    key: tuple,
-    policy: ArbitrationPolicy,
-    weight: int,
-    effective_capacity: int | None = None,
-    slot_len: int | None = None,
-) -> ArbitrationTuple:
-    """`make_tuple(...)`, stored in the spec's tables under `key`. Callers
-    look the key up first: no tuple is empty, so `tables.get(key) or`."""
-    tables[key] = t = make_tuple(policy, weight, effective_capacity, slot_len)
-    return t
-
-
 def refine_tuples(
     spec: ProblemSpec,
     placement: Placement,
@@ -244,6 +230,7 @@ def refine_tuples(
     reserved_tiles = set(reserved_tiles)
     exclusive_cores = set(exclusive_cores)
     ts = TupleSet({}, {}, {}, {}, {}, {}, {})
+    # No stored tuple is falsy, so `tables.get(key) or` builds only on a miss.
     tables = spec.tables
 
     for tile, hosting, outbound, inbound in placement.tiles:
@@ -258,7 +245,8 @@ def refine_tuples(
             k_bus -= (len(tile.cores) - len(hosting)) * bmw
         ts.bus_capacity[tid] = k_bus
         key = ("bus", tid, bmw, k_bus)
-        bus = ts.bus[tid] = tables.get(key) or _tabled(tables, key, bus_policy, bmw, k_bus)
+        bus = ts.bus[tid] = tables.get(key) or tables.setdefault(
+            key, make_tuple(bus_policy, bmw, k_bus))
 
         for core in hosting:
             on_core = placement.tasks_on_core[core.id]
@@ -270,8 +258,8 @@ def refine_tuples(
             for task_id in on_core:
                 w = task_weights[task_id]
                 key = ("core", tid, w, k_core)
-                ts.core[task_id] = tables.get(key) or _tabled(
-                    tables, key, core_policy, w, k_core)
+                ts.core[task_id] = tables.get(key) or tables.setdefault(
+                    key, make_tuple(core_policy, w, k_core))
 
         for kind, out, traffic, policy in (
             ("tx", ts.tx, outbound, tile.tx_policy),
@@ -286,12 +274,12 @@ def refine_tuples(
                 k_na = policy.capacity
             for inst, w in zip(traffic, weights):
                 key = (kind, tid, w, k_na, k_bus)
-                out[inst.key] = tables.get(key) or _tabled(
-                    tables, key, policy, w, k_na, bus.period)
+                out[inst.key] = tables.get(key) or tables.setdefault(
+                    key, make_tuple(policy, w, k_na, bus.period))
 
     lp = spec.architecture.noc.link_policy
     for inst in instances:
         w = message_weights[inst.key]
         key = ("route", w)
-        ts.route[inst.key] = tables.get(key) or _tabled(tables, key, lp, w)
+        ts.route[inst.key] = tables.get(key) or tables.setdefault(key, make_tuple(lp, w))
     return ts

@@ -21,7 +21,10 @@ While the tables are built, each one's capacity is checked against the
 trial's event cap before its entries are made: each slot is one table
 entry, and a table longer than the cap could not turn once within it.
 Tiles that host no task (and so carry no traffic) and links no transfer
-crosses get no table, so their capacities are not limited.
+crosses get no table, so their capacities are not limited. Before any job
+is made, the trial counts the events it cannot do without (a release per
+job, a bus grant per word a job or an adapter moves, a link grant per
+flit and link) and raises SimHorizonExceeded if they exceed the cap.
 
 Each slot-table entry is an owner object: a queue of jobs, stalled memory
 words, packets or flits; a TX or RX adapter, which holds the bus while one
@@ -39,6 +42,12 @@ tick. Runs of phantom slots are not batched into one event. Events at the
 same time run in push order, and a real owner can become busy between two
 phantom slots (a word, flit or packet pushed by another arbiter's event at
 that time), so a batched run would grant differently and change trials.
+
+An event is a heap entry (time, sequence number, handler, argument), and
+the engine runs it as `handler(argument, time)`. A tick is the class
+function `_SlotArbiter._tick_wc` or `_tick_tdm` applied to its arbiter;
+every other event is a bound method applied to the job, packet or flit
+it moves on. No event is ever cancelled or goes stale.
 """
 
 from __future__ import annotations
@@ -134,17 +143,17 @@ class _Engine:
         self.cap = cap
         self.seq = itertools.count()     # ties at one time pop in push order
 
-    def push(self, t: int, fn: Callable[[int], None]) -> None:
-        heappush(self.heap, (t, next(self.seq), fn))
+    def push(self, t: int, handler: Callable[[object, int], None], arg) -> None:
+        heappush(self.heap, (t, next(self.seq), handler, arg))
 
     def run(self) -> None:
         heap, pop, count, cap = self.heap, heappop, self.count, self.cap
         while heap:
-            t, _, fn = pop(heap)
+            t, _, handler, arg = pop(heap)
             count += 1
             if count > cap:
                 raise SimHorizonExceeded(f"simulation needs more than {cap} events")
-            fn(t)
+            handler(arg, t)
         self.count = count
 
 
@@ -203,7 +212,7 @@ class _SlotArbiter:
         self.work_conserving = work_conserving
         self.grant = grant
         self.grant_phantoms = grant_phantoms
-        self.tick = self._tick_wc if work_conserving else self._tick_tdm
+        self.tick = _SlotArbiter._tick_wc if work_conserving else _SlotArbiter._tick_tdm
         self.idx = 0
         self.last = None
         self.sleeping = True
@@ -223,7 +232,7 @@ class _SlotArbiter:
         else:
             span = self.slot_len + self.delay
             t = -(-t // span) * span
-        heappush(self.heap, (t, next(self.seq), self.tick))
+        heappush(self.heap, (t, next(self.seq), self.tick, self))
 
     def window(self, owner, t: int) -> tuple[int, int] | None:
         """The rest of `owner`'s timetable slot at `t`; None when `t` lies
@@ -261,7 +270,7 @@ class _SlotArbiter:
             start = t if last is owner or last is None else t + self.delay
             self.last = owner
             end = start + self.slot_len
-            heappush(self.heap, (end, next(self.seq), self.tick))
+            heappush(self.heap, (end, next(self.seq), self.tick, self))
             if not phantom or self.grant_phantoms:
                 self.grant(owner, start, end)
             return
@@ -276,7 +285,7 @@ class _SlotArbiter:
                 self.sleeping = True
                 return
         span = self.slot_len + self.delay
-        heappush(self.heap, (t + span, next(self.seq), self.tick))
+        heappush(self.heap, (t + span, next(self.seq), self.tick, self))
         i = (t // span) % len(self.probes)
         probe = self.probes[i]
         if probe is True or (probe is None and self.random() < 0.7):
@@ -323,7 +332,7 @@ class _Phantom:
 class _Job:
     __slots__ = (
         "task_id", "release", "wcet", "offsets", "served", "exec_done",
-        "seg_start", "window_end", "outstanding", "done_at", "emits",
+        "seg_start", "window_end", "outstanding", "emits",
         "owner", "words",
     )
 
@@ -337,7 +346,6 @@ class _Job:
         self.seg_start = -1             # -1: not executing right now
         self.window_end = -1
         self.outstanding = False
-        self.done_at = -1
         self.emits = emits              # instance keys to packetize on completion
         self.owner = owner              # the task's jobs on its core
         self.words = words              # the core's stalled words on its bus
@@ -563,6 +571,21 @@ class _Sim:
         producers: dict[str, list] = {t.id: [] for t in app.tasks}
         for inst in self.mapping.instances:
             producers[inst.message.src].append(inst)
+        jobs = self.cfg.jobs
+        n_jobs: dict[str, int] = {}
+        # Events the trial cannot do without: a release per job, a bus grant
+        # per word a job or an adapter moves, a link grant per flit and link.
+        least = 0
+        for t in app.tasks:
+            ratios = [inst.message.period // t.period for inst in producers[t.id]]
+            n = n_jobs[t.id] = max([jobs, *(jobs * r for r in ratios)])
+            least += n * (1 + self.eff_md[t.id])
+            for inst, r in zip(producers[t.id], ratios):
+                words, flits = self.routes[inst.key][3:]
+                least += -(-n // r) * (2 * words + flits * len(inst.links))   # n / r packets
+        if least > self.cfg.max_events:
+            raise SimHorizonExceeded(
+                f"simulation needs more than {self.cfg.max_events} events")
         for t in app.tasks:
             core = self.arch.core(self.mapping.bindings[t.id])
             wcet = t.wcet[core.core_type]
@@ -575,11 +598,8 @@ class _Sim:
                 self.rng.choice(PATTERNS) if self.cfg.pattern == "mix"
                 else self.cfg.pattern
             )
-            n_jobs = self.cfg.jobs
-            for inst in producers[t.id]:
-                n_jobs = max(n_jobs, self.cfg.jobs * (inst.message.period // t.period))
             self.result.responses[t.id] = []
-            for k in range(n_jobs):
+            for k in range(n_jobs[t.id]):
                 emits = tuple(
                     inst.key for inst in producers[t.id]
                     if (k * t.period) % inst.message.period == 0
@@ -589,7 +609,7 @@ class _Sim:
                     _draw_offsets(self.rng, pattern, wcet, md, self.tau), emits,
                     *self.masters[t.id],
                 )
-                self.eng.push(job.release, lambda now, j=job: self._release(j, now))
+                self.eng.push(job.release, self._release, job)
         for inst in self.mapping.instances:
             self.result.traversals[inst.key] = []
 
@@ -622,12 +642,11 @@ class _Sim:
         nxt = job.offsets[job.served] if job.served < len(job.offsets) else job.wcet
         stop = min(t + (nxt - job.exec_done), job.window_end)
         job.seg_start = t
-        self.eng.push(stop, lambda now, j=job, s=job.seg_start: self._segment_end(j, s, now))
+        self.eng.push(stop, self._segment_end, job)
 
-    def _segment_end(self, job: _Job, seg_start: int, t: int) -> None:
-        if job.seg_start != seg_start or job.done_at >= 0:
-            return                      # stale event from an earlier window
-        job.exec_done += t - seg_start
+    def _segment_end(self, job: _Job, t: int) -> None:
+        # Never stale: only `_run_segment` pushes it, and never with one pending.
+        job.exec_done += t - job.seg_start
         job.seg_start = -1
         if t < job.window_end:
             self._run_segment(job, t)
@@ -642,8 +661,6 @@ class _Sim:
             self._run_segment(job, t)
 
     def _finish(self, job: _Job, t: int) -> None:
-        job.done_at = t
-        job.seg_start = -2
         self.result.responses[job.task_id].append(t - job.release)
         self.result.makespan = max(self.result.makespan, t)
         q = job.owner.queue
@@ -669,10 +686,9 @@ class _Sim:
             packet.moved += 1
             if packet.moved == packet.words:
                 flow.queue.popleft()
-                self.eng.push(end, lambda now, p=packet, step=owner.step: step(p, now))
+                self.eng.push(end, owner.step, packet)
         else:
-            job = owner.queue.popleft()
-            self.eng.push(end, lambda now, j=job: self._word_done(j, now))
+            self.eng.push(end, self._word_done, owner.queue.popleft())
 
     # -- transfers
 
@@ -690,10 +706,9 @@ class _Sim:
         pos = packet.links.index(owner)
         arrive = start + self.arch.noc.router_delay * self.tau
         if pos + 1 < len(packet.links):
-            nxt = packet.links[pos + 1]
-            self.eng.push(arrive, lambda now, f=flit, o=nxt: o.put(f, now))
+            self.eng.push(arrive, packet.links[pos + 1].put, flit)
         elif idx == packet.flits - 1:
-            self.eng.push(arrive, lambda now, p=packet: self._arrived(p, now))
+            self.eng.push(arrive, self._arrived, packet)
 
     def _arrived(self, packet: _Packet, t: int) -> None:
         packet.moved = 0
@@ -762,8 +777,6 @@ def adversarial_sweep(
             (key, obs) for key, vals in result.traversals.items() for obs in vals
         ]
         for key, obs in observations:
-            if key not in sweep.bounds:
-                continue
             sweep.samples[key] += 1
             if obs > sweep.worst[key]:
                 sweep.worst[key] = obs

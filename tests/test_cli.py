@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
 
 from conftest import bundled_text
+from test_model import SYNTAX_CASES, VALIDATION_CASES, mutated
 
 SHARED = {"t0": "t0_0.c0", "t1": "t1_0.c0", "t2": "t0_0.c1"}
 
@@ -279,6 +282,18 @@ def test_validate_sim_horizon_exceeded_exits_2(spec_path, mapping_path, monkeypa
     assert "Traceback" not in err
 
 
+def test_validate_too_many_jobs_exits_2_at_once(spec_path, mapping_path, capsys):
+    # Job releases alone exceed the default event cap, so the trial is
+    # refused before its jobs are made.
+    start = time.perf_counter()
+    code = main(["validate", "--spec", str(spec_path),
+                 "--mapping", str(mapping_path), "--trials", "1", "--jobs", "100000000"])
+    assert code == 2 and time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "error: simulation needs more than 2000000 events" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- generate
 
 
@@ -325,8 +340,10 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
         '{"bindings": ["t0", "t1", "t2"]}',
         '{"bindings": {}, "core_flags": []}',
         '{"bindings": {}, "tile_flags": []}',
+        '{"bindings": {"t0": "t9_9.c0", "t1": "t1_0.c0", "t2": "t0_0.c1"}}',
     ],
-    ids=["not-json", "bindings-array", "core-flags-array", "tile-flags-array"],
+    ids=["not-json", "bindings-array", "core-flags-array", "tile-flags-array",
+         "core-outside-edges"],
 )
 def test_malformed_mapping_exits_2(spec_path, tmp_path, capsys, command, text):
     bad = tmp_path / "broken.json"
@@ -453,6 +470,17 @@ def test_energy_overflow_exits_2(tmp_path, capsys, field, value):
                  "--population", "10", "--out-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "energy overflows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, hint", VALIDATION_CASES + SYNTAX_CASES)
+def test_invalid_spec_exits_2(tmp_path, capsys, edit, hint):
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(mutated(edit)))
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"bindings": {"a": "t0.c0", "b": "t1.c1"}}))
+    assert main(["analyze", "--spec", str(bad), "--mapping", str(mapping)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(hint, err) and "Traceback" not in err
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Synthetic problem generation: sizes, determinism, simulatability."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
 from isoexplore.errors import DomainError
-from isoexplore.generator import PROFILES, make_architecture, generate_spec
+from isoexplore.generator import PROFILES, _forward_pair, make_architecture, generate_spec
 from isoexplore.model import emit_spec, end_to_end_paths, parse_spec
 from isoexplore.simoracle import _check_platform
 
@@ -60,6 +61,24 @@ def test_rejects_more_messages_than_task_pairs():
     with pytest.raises(DomainError, match="ordered pairs"):
         generate_spec("consumer", tasks=1, messages=1)
     generate_spec("consumer", mesh=(2, 2), tasks=2, messages=2)  # at the cap
+
+
+def test_forward_pair_ranks_follow_the_pair_list():
+    for n in range(2, 40):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert [_forward_pair(n, r) for r in range(len(pairs))] == pairs
+
+
+def test_memory_stays_linear_in_tasks():
+    # Listing the 1,999,000 forward pairs of 2,000 tasks would take about
+    # 190 MiB; the spec itself takes about 3.
+    tracemalloc.start()
+    try:
+        generate_spec("consumer", mesh=(1, 1), seed=0, tasks=2_000, messages=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------- architecture

@@ -296,6 +296,12 @@ def test_from_bindings_validation(two_tile_spec):
         from_bindings(two_tile_spec, SHARED, reserved_cores={"nope"})
     with pytest.raises(ValidationError, match="unknown tile"):
         from_bindings(two_tile_spec, SHARED, reserved_tiles={"nope"})
+    with pytest.raises(ValidationError, match="t0 -> t9_9.c0 is not among its mapping edges"):
+        from_bindings(two_tile_spec, {**SHARED, "t0": "t9_9.c0"})
+    doc = json.loads(emit_spec(two_tile_spec))
+    doc["mapping_edges"] = [e for e in doc["mapping_edges"] if e["core"] != "t1_0.c2"]
+    with pytest.raises(ValidationError, match="t0 -> t1_0.c2 is not among its mapping edges"):
+        from_bindings(parse_spec(json.dumps(doc)), {**SHARED, "t0": "t1_0.c2"})
 
 
 def test_load_mapping_doc_needs_bindings(two_tile_spec):

@@ -214,39 +214,85 @@ def test_rejects_fractional_nanoseconds(edit, field):
 # --------------------------------------------------------- validation errors
 
 
-@pytest.mark.parametrize(
-    "edit, hint",
-    [
-        (lambda d: d["application"]["tasks"][0].update({"period_us": 0}), "period"),
-        (lambda d: d["application"]["tasks"][0].update({"wcet_us": {}}), "wcet"),
-        (lambda d: d["application"]["tasks"][0].update({"mem_demand": -1}), "mem_demand"),
-        (lambda d: d["application"]["tasks"][1].update({"id": "a"}), "duplicate"),
-        (lambda d: d["application"]["messages"][0].update({"src": "zz"}), "not a task"),
-        (lambda d: d["application"]["messages"][0].update({"dst": "a"}), "consumer"),
-        (lambda d: d["application"]["messages"][0].update({"payload_bytes": 0}), "payload"),
-        (lambda d: d["architecture"]["tiles"][1].update({"pos": [0, 0]}), "already taken"),
-        (lambda d: d["architecture"]["tiles"][1].update({"pos": [5, 0]}), "outside mesh"),
-        (lambda d: d["architecture"]["tiles"][1].update({"id": "t0"}), "duplicate tile"),
-        (lambda d: d["architecture"]["tiles"][1].update({"type": "huge"}), "unknown tile type"),
-        (lambda d: d["architecture"]["noc"]["link_policy"].update({"capacity": 0}), "link_policy"),
-        (lambda d: d["mapping_edges"].append({"task": "zz", "core": "t0.c0"}), "unknown task"),
-        (lambda d: d["mapping_edges"].append({"task": "a", "core": "t9.c0"}), "unknown core"),
-        (lambda d: d["mapping_edges"].append({"task": "a", "core": "t0.c0"}), "duplicate mapping"),
-        (lambda d: d["mapping_edges"].pop(), "no mapping edges"),
-        (lambda d: d["application"]["tasks"][0].update({"wcet_us": {"gp": 0}}),
-         "wcet for core type 'gp' must be positive"),
-        (lambda d: d["architecture"]["tile_types"][0]["memories"][0].update(
-            {"service_time_ns": 0}), "service time must be positive"),
-        (lambda d: d["architecture"]["tile_types"][0]["bus_policy"].update(
-            {"slot_len_ns": 4}), "shorter than the memory service time"),
-        (lambda d: d["application"]["messages"][0].update({"mem_demand": 0}),
-         "mem_demand must be positive"),
-        (lambda d: d["architecture"]["noc"]["link_policy"].update({"slot_len": 20}),
-         "must equal tau"),
-    ],
-)
+# Each edit of `minimal_doc` and a pattern its ValidationError matches.
+VALIDATION_CASES = [
+    (lambda d: d["application"]["tasks"][0].update({"period_us": 0}), "period"),
+    (lambda d: d["application"]["tasks"][0].update({"wcet_us": {}}), "wcet"),
+    (lambda d: d["application"]["tasks"][0].update({"mem_demand": -1}), "mem_demand"),
+    (lambda d: d["application"]["tasks"][1].update({"id": "a"}), "duplicate"),
+    (lambda d: d["application"]["messages"][0].update({"src": "zz"}), "not a task"),
+    (lambda d: d["application"]["messages"][0].update({"dst": "a"}), "consumer"),
+    (lambda d: d["application"]["messages"][0].update({"payload_bytes": 0}), "payload"),
+    (lambda d: d["architecture"]["tiles"][1].update({"pos": [0, 0]}), "already taken"),
+    (lambda d: d["architecture"]["tiles"][1].update({"pos": [5, 0]}), "outside mesh"),
+    (lambda d: d["architecture"]["tiles"][1].update({"id": "t0"}), "duplicate tile"),
+    (lambda d: d["architecture"]["tiles"][1].update({"type": "huge"}), "unknown tile type"),
+    (lambda d: d["architecture"]["noc"]["link_policy"].update({"capacity": 0}), "link_policy"),
+    (lambda d: d["mapping_edges"].append({"task": "zz", "core": "t0.c0"}), "unknown task"),
+    (lambda d: d["mapping_edges"].append({"task": "a", "core": "t9.c0"}), "unknown core"),
+    (lambda d: d["mapping_edges"].append({"task": "a", "core": "t0.c0"}), "duplicate mapping"),
+    (lambda d: d["mapping_edges"].pop(), "no mapping edges"),
+    (lambda d: d["application"]["tasks"][0].update({"wcet_us": {"gp": 0}}),
+     "wcet for core type 'gp' must be positive"),
+    (lambda d: d["architecture"]["tile_types"][0]["memories"][0].update(
+        {"service_time_ns": 0}), "service time must be positive"),
+    (lambda d: d["architecture"]["tile_types"][0]["bus_policy"].update(
+        {"slot_len_ns": 4}), "shorter than the memory service time"),
+    (lambda d: d["application"]["messages"][0].update({"mem_demand": 0}),
+     "mem_demand must be positive"),
+    (lambda d: d["architecture"]["noc"]["link_policy"].update({"slot_len": 20}),
+     "must equal tau"),
+    (lambda d: d["application"]["messages"][0].update({"period_us": 0}),
+     "message m: period must be positive"),
+    (lambda d: d["application"]["messages"][0].update({"dst": "zz"}),
+     "consumer 'zz' is not a task"),
+    (lambda d: d["application"].update(edges=[{"src": "a", "dst": "b"}]),
+     "must link a task and a message"),
+    (lambda d: d["architecture"]["tile_types"][0].update({"cores": 0}),
+     "cores must be >= 1"),
+    (lambda d: d["architecture"]["tile_types"][0].update({"memories": []}),
+     "needs at least one memory"),
+    (lambda d: d["architecture"]["tile_types"][0].update({"bus_master_weight": 0}),
+     "bus_master_weight must be >= 1"),
+    (lambda d: d["architecture"]["tile_types"][0]["bus_policy"].update({"capacity": 3}),
+     "does not cover its masters"),
+    (lambda d: d["architecture"]["tile_types"].append(
+        copy.deepcopy(d["architecture"]["tile_types"][0])), "duplicate tile type"),
+    (lambda d: d["architecture"].update({"mesh": [0, 1]}), "must be at least 1x1"),
+    (lambda d: d["architecture"].update({"tiles": []}), "declares no tiles"),
+    (lambda d: d["architecture"]["noc"].update({"tau_ns": 0}), "tau_ns must be positive"),
+    (lambda d: d["architecture"]["noc"].update({"router_delay_cycles": -1}),
+     "router_delay_cycles must be >= 0"),
+    (lambda d: d["architecture"]["noc"].update({"flit_payload_bytes": 0}),
+     "flit_payload_bytes must be positive"),
+    (lambda d: d["architecture"]["noc"].update({"header_flits": -1}),
+     "header_flits must be >= 0"),
+    (lambda d: d["architecture"]["noc"].update({"route_hop_offset": -1}),
+     "route_hop_offset must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("edit, hint", VALIDATION_CASES)
 def test_validation_errors(edit, hint):
     with pytest.raises(ValidationError, match=hint):
+        parse(mutated(edit))
+
+
+# Each edit of `minimal_doc` and a pattern its SpecSyntaxError matches.
+SYNTAX_CASES = [
+    (lambda d: d["application"].update({"tasks": {}}), "'tasks' must be an array"),
+    (lambda d: d["application"]["tasks"][0].update({"period_us": "50"}),
+     "period_us must be a number"),
+    (lambda d: d["architecture"]["tile_types"][0].update({"core_policy": 5}),
+     "expected a policy object"),
+    (lambda d: d["architecture"]["tiles"][0].update({"pos": [0]}), "pos must be .x, y."),
+    (lambda d: d["architecture"].update({"energy": []}), "energy must be an object"),
+]
+
+
+@pytest.mark.parametrize("edit, hint", SYNTAX_CASES)
+def test_syntax_errors(edit, hint):
+    with pytest.raises(SpecSyntaxError, match=hint):
         parse(mutated(edit))
 
 
@@ -405,3 +451,10 @@ def test_cycle_error_names_a_task_on_the_cycle(wires):
 def test_self_loop_is_rejected_at_message_level():
     with pytest.raises(ValidationError):
         msg("m", "a", "a")
+
+
+def test_duplicate_consumer_is_rejected():
+    # Not reachable from a document: parsing drops repeated consumer edges.
+    with pytest.raises(ValidationError, match="duplicate consumer"):
+        ApplicationGraph(tasks=(task("a"), task("b")),
+                         messages=(msg("m", "a", "b", extras=("b",)),))

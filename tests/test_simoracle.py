@@ -127,6 +127,38 @@ def test_unused_capacities_above_event_cap_are_not_checked():
     assert simulate(spec, mapping, TrialConfig(seed=1, max_events=100)).events > 0
 
 
+def slow(doc):
+    """Every period set to 10 s, so that huge demands stay feasible."""
+    for item in doc["application"]["tasks"] + doc["application"]["messages"]:
+        item["period_us"] = 10_000_000
+
+
+# Each case needs more events of one kind than the cap allows: job
+# releases, bus grants for a task's accesses or a packet's words, or link
+# grants for a packet's flits.
+OVER_CAP = {
+    "releases": (lambda d: None, 40),
+    "accesses": (lambda d: d["application"]["tasks"][0].update(mem_demand=100), 1),
+    "words": (lambda d: d["application"]["messages"][1].update(mem_demand=50), 1),
+    "flits": (lambda d: d["application"]["messages"][1].update(payload_bytes=1_600), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP))
+def test_event_cap_is_checked_before_the_trial_is_set_up(monkeypatch, case):
+    edit, jobs = OVER_CAP[case]
+    spec = edited_spec(lambda d: (slow(d), edit(d)))
+    mapping = from_bindings(spec, SHARED)
+    assert simulate(spec, mapping, TrialConfig(seed=1, jobs=jobs)).events > 99
+
+    def run(_):
+        raise AssertionError("a trial over the cap ran")
+
+    monkeypatch.setattr(_Engine, "run", run)
+    with pytest.raises(SimHorizonExceeded, match="more than 99 events"):
+        simulate(spec, mapping, TrialConfig(seed=1, jobs=jobs, max_events=99))
+
+
 def test_rejects_infeasible_mapping(two_tile_spec):
     res = from_bindings(
         two_tile_spec, {"t0": "t0_0.c0", "t1": "t0_0.c0", "t2": "t0_0.c0"})
@@ -278,6 +310,33 @@ def test_exclusive_path_is_observed_exactly():
                 seed=seed, phantom_load="max", jitter=True, pattern=pattern))
             assert res.responses[task.id] == [exact, exact]
     assert mapping.task_wcrt[task.id] >= exact
+
+
+def test_job_without_accesses_runs_for_its_wcet():
+    # No memory demand: no access offsets are drawn, whatever the pattern.
+    doc = json.loads(emit_spec(
+        generate_spec("networking", mesh=(1, 1), seed=0, tasks=1, messages=0)))
+    doc["application"]["tasks"][0]["mem_demand"] = 0
+    spec = parse_spec(json.dumps(doc))
+    task = spec.application.tasks[0]
+    mapping = from_bindings(spec, {task.id: "t0_0.c0"}, reserved_tiles={"t0_0"})
+    wcet = task.wcet[spec.architecture.core("t0_0.c0").core_type]
+    for pattern in PATTERNS:
+        res = simulate(spec, mapping, TrialConfig(seed=1, jitter=True, pattern=pattern))
+        assert res.responses[task.id] == [wcet, wcet]
+
+
+@pytest.mark.parametrize("load, responses", [
+    ("max", [10560, 17460, 21700, 28200]),
+    ("none", [4450, 4850, 5250, 5650]),
+])
+def test_finished_job_hands_the_rest_of_its_window_on(two_tile_spec, load, responses):
+    # t0's period is cut to 4 us, below its response time, so each job is
+    # still queued when the one before it finishes inside the window.
+    mapping = from_bindings(two_tile_spec, SHARED)
+    spec = edited_spec(lambda d: d["application"]["tasks"][0].update({"period_us": 4}))
+    res = simulate(spec, mapping, TrialConfig(seed=1, phantom_load=load, jobs=4))
+    assert res.responses["t0"] == responses
 
 
 def tdm_cores(spec):

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .generator import PROFILES, generate_spec
 from .mapping import ExplorationMode, MappingResult, load_mapping_doc
-from .model import emit_spec, load_spec, parse_json
+from .model import emit_spec, load_spec, parse_json, read_document
 from .simoracle import PHANTOM_LOADS, adversarial_sweep
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _manifest(args, **extra) -> dict:
 
 
 def _load_mapping(args, spec) -> MappingResult:
-    return load_mapping_doc(spec, parse_json(Path(args.mapping).read_text()))
+    return load_mapping_doc(spec, parse_json(read_document(args.mapping)))
 
 
 def _archive_entries(archive) -> list[MappingResult]:

@@ -6,14 +6,10 @@ any core of a reserved tile gets the whole tile exclusively; a reserved core
 on a shared tile is exclusive to its tasks; anything else shares its core.
 Flags of cores and tiles that host nothing are masked out.
 
-A decode runs in two stages. The bindings stage (routes, placement,
-effective memory demand, least weights, feasibility) depends on the
-bindings alone, and results of the same bindings share it while any of
-them is alive. The flags stage (schemes, refined tuples, bounds, makespan
-and objectives) runs once per phenotype (mode, bindings in order, and
-effective flags) while a result of it is alive, and looks each bound term
-up in the spec's tables by its arguments; a repeated phenotype gets the
-live result back.
+A decode runs once per phenotype (mode, bindings in order, and effective
+flags) while a result of it is alive: a repeated phenotype gets the live
+result back. Routes, least weights, arbitration tuples and bound terms are
+looked up in the spec's tables by their arguments.
 """
 
 from __future__ import annotations
@@ -102,9 +98,8 @@ class RoutedInstance:
 class MappingResult:
     """One decoded mapping. Two decodes of the same phenotype (the same
     mode, the same bindings in the same order, the same effective flags)
-    return the same object while it is alive, and results of the same
-    bindings share `stage`, and through it `instances`, `placement` and
-    `budget`: read results, never change them."""
+    return the same object while it is alive: read results, never change
+    them."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
@@ -113,7 +108,6 @@ class MappingResult:
     schemes: dict[str, IsolationScheme]     # per hosting core
     instances: tuple[RoutedInstance, ...]
     placement: Placement
-    stage: BindingStage = field(repr=False, compare=False)
     feasible: bool
     reason: str | None = None
     budget: BudgetAssignment | None = None
@@ -339,77 +333,65 @@ def _term(tables: dict, key: tuple, bound):
     return v
 
 
-class BindingStage:
-    """The half of a decode that depends on the bindings alone: routes,
-    placement, and either the least weights or the reason why the binding
-    is infeasible. A feasible stage also keeps the flag-independent
-    arguments of each bound term: per task (task id, tile id, wcet,
-    effective memory demand, memory service time), and per transfer (key,
-    source tile id, destination tile id, memory demand, source service
-    time, flits, hops, destination service time).
-
-    Every result of the same bindings, in the same order, shares one
-    stage while any of them is alive: each result holds its stage, and the
-    spec's tables map the bindings to it weakly. `results` maps (mode,
-    effective reserved cores, effective reserved tiles) weakly to the live
-    result of that phenotype. Apart from `results`, a stage never changes
-    after it is built.
-    """
-
-    __slots__ = ("instances", "placement", "budget", "reason",
-                 "task_args", "transfer_args", "results", "__weakref__")
-
-    def __init__(self, instances, placement, budget, reason, task_args, transfer_args):
-        self.instances: tuple[RoutedInstance, ...] = instances
-        self.placement: Placement = placement
-        self.budget: BudgetAssignment | None = budget
-        self.reason: str | None = reason
-        self.task_args: tuple[tuple[str, str, int, int, int], ...] = task_args
-        self.transfer_args: tuple[tuple, ...] = transfer_args
-        self.results: dict[tuple, weakref.ref] = {}
+_RESULTS = ("results",)     # the key of the live-result map in `spec.tables`
 
 
-def _live(refs: dict, key):
-    """What `refs` maps `key` to, or None if nothing or if it has died: a
-    weak reference can be cleared before its callback runs."""
-    ref = refs.get(key)
-    return None if ref is None else ref()
+def _build(
+    spec: ProblemSpec,
+    bindings: dict[str, str],
+    flagged_cores: set[str],
+    flagged_tiles: set[str],
+    mode: ExplorationMode,
+) -> MappingResult:
+    """The live result of the phenotype, or a new one.
 
-
-def _keep(refs: dict, key, obj) -> None:
-    """Map `key` weakly to `obj`; the entry goes when `obj` dies."""
-    refs[key] = weakref.ref(obj, lambda _, k=key: refs.pop(k, None))
-
-
-_STAGES = ("bindings",)     # the key of the stage map in `spec.tables`
-
-
-def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
-    """The stage of `bindings`, built unless a live result already holds it.
-
-    The key is the task ids, then the core ids, in binding order: one tuple
-    that says what `tuple(bindings.items())` says. The order matters, since
-    `check_feasibility` sums core loads in it and so decides which
-    overloaded core the reason names."""
-    tables = spec.tables
-    stages = tables.get(_STAGES)
-    if stages is None:
-        stages = tables[_STAGES] = {}
-    stage_key = (*bindings, *bindings.values())
-    stage = _live(stages, stage_key)
-    if stage is not None:
-        return stage
-
+    The key is the mode and the effective flags, then the task ids and the
+    core ids in binding order, which say what `tuple(bindings.items())`
+    says. The order matters, since `check_feasibility` sums core loads in
+    it and so decides which overloaded core the reason names."""
     arch = spec.architecture
     app = spec.application
     noc = arch.noc
+    tile_of = arch.tile_id_of
+    tables = spec.tables
+    hosting = set(bindings.values())
+    reserved_tiles = frozenset({tile_of[c] for c in hosting} & flagged_tiles)
+    reserved_cores = frozenset(
+        c for c in hosting if c in flagged_cores and tile_of[c] not in reserved_tiles)
+    results = tables.get(_RESULTS)
+    if results is None:
+        results = tables[_RESULTS] = {}
+    key = (mode, reserved_cores, reserved_tiles, *bindings, *bindings.values())
+    # A weak reference can be cleared before its callback removes it.
+    ref = results.get(key)
+    result = None if ref is None else ref()
+    if result is not None:
+        return result
+
     instances = route_instances(spec, bindings)
     placement = scheduling.place(spec, bindings, instances)
-    eff_md = effective_mem_demand(app, bindings, arch.tile_id_of)
+    schemes: dict[str, IsolationScheme] = {}
+    for core_id in placement.tasks_on_core:         # in id order
+        if tile_of[core_id] in reserved_tiles:
+            schemes[core_id] = IsolationScheme.TILE_RESERVATION
+        elif core_id in reserved_cores:
+            schemes[core_id] = IsolationScheme.CORE_RESERVATION
+        else:
+            schemes[core_id] = IsolationScheme.CORE_SHARING
+    result = MappingResult(
+        mode=mode,
+        bindings=bindings,
+        reserved_cores=reserved_cores,
+        reserved_tiles=reserved_tiles,
+        schemes=schemes,
+        instances=instances,
+        placement=placement,
+        feasible=False,
+    )
+    eff_md = effective_mem_demand(app, bindings, tile_of)
     task_weights: dict[str, int] = {}
     message_weights: dict[InstanceKey, int] = {}
     task_args, transfer_args = [], []
-    budget, reason = None, None
     # A weight is looked up before the search's arguments are evaluated;
     # no stored weight is 0 and no stored reason is empty.
     try:
@@ -418,9 +400,9 @@ def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
             tile = arch.tile(core.tile_id)
             wcet = t.wcet[core.core_type]
             md = eff_md[t.id]
-            key = (t.id, core.core_type, tile.id, md)
-            w = tables.get(key) or _search(
-                tables, key, scheduling.min_task_weight, t.period, wcet, md, tile)
+            wkey = (t.id, core.core_type, tile.id, md)
+            w = tables.get(wkey) or _search(
+                tables, wkey, scheduling.min_task_weight, t.period, wcet, md, tile)
             if isinstance(w, str):
                 raise Infeasible(w)
             task_weights[t.id] = w
@@ -429,9 +411,9 @@ def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
             m = inst.message
             src, dst = arch.tile(inst.src_tile), arch.tile(inst.dst_tile)
             flits = noc.flits_for(m.payload_bytes)
-            key = (m.id, src.id, dst.id)
-            w = tables.get(key) or _search(
-                tables, key, scheduling.min_message_weight,
+            wkey = (m.id, src.id, dst.id)
+            w = tables.get(wkey) or _search(
+                tables, wkey, scheduling.min_message_weight,
                 m.period, m.mem_demand, flits, inst.hops, src, dst, noc,
             )
             if isinstance(w, str):
@@ -443,90 +425,34 @@ def _binding_stage(spec: ProblemSpec, bindings: dict[str, str]) -> BindingStage:
             ))
         scheduling.check_feasibility(
             spec, bindings, instances, task_weights, message_weights)
-        budget = BudgetAssignment(task_weights, message_weights)
     except Infeasible as exc:
-        reason = str(exc)
-        task_args, transfer_args = [], []
-    stage = BindingStage(
-        instances, placement, budget, reason, tuple(task_args), tuple(transfer_args))
-    # The entry goes as soon as the last result that holds the stage does.
-    _keep(stages, stage_key, stage)
-    return stage
-
-
-def _build(
-    spec: ProblemSpec,
-    bindings: dict[str, str],
-    flagged_cores: set[str],
-    flagged_tiles: set[str],
-    mode: ExplorationMode,
-) -> MappingResult:
-    """The live result of the phenotype, or a new one on its bindings stage."""
-    app = spec.application
-    tile_of = spec.architecture.tile_id_of
-    stage = _binding_stage(spec, bindings)
-    instances, placement, budget = stage.instances, stage.placement, stage.budget
-    reserved_tiles = frozenset(
-        tile.id for tile, *_ in placement.tiles if tile.id in flagged_tiles)
-    reserved_cores = frozenset(
-        c for c in placement.tasks_on_core
-        if c in flagged_cores and tile_of[c] not in reserved_tiles
-    )
-    key = (mode, reserved_cores, reserved_tiles)
-    result = _live(stage.results, key)
-    if result is not None:
-        return result
-
-    schemes: dict[str, IsolationScheme] = {}
-    for core_id in placement.tasks_on_core:         # in id order
-        if tile_of[core_id] in reserved_tiles:
-            schemes[core_id] = IsolationScheme.TILE_RESERVATION
-        elif core_id in reserved_cores:
-            schemes[core_id] = IsolationScheme.CORE_RESERVATION
-        else:
-            schemes[core_id] = IsolationScheme.CORE_SHARING
-
-    result = MappingResult(
-        mode=mode,
-        bindings=bindings,
-        reserved_cores=reserved_cores,
-        reserved_tiles=reserved_tiles,
-        schemes=schemes,
-        instances=instances,
-        placement=placement,
-        stage=stage,
-        feasible=budget is not None,
-        reason=stage.reason,
-        budget=budget,
-    )
-    if budget is not None:
-        task_weights = budget.task_weights
+        result.reason = str(exc)
+    else:
+        result.feasible = True
+        result.budget = BudgetAssignment(task_weights, message_weights)
         exclusive = {
             c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
         }
-        tuples = scheduling.refine_tuples(
-            spec, placement, instances, task_weights, budget.message_weights,
+        tuples = result.tuples = scheduling.refine_tuples(
+            spec, placement, instances, task_weights, message_weights,
             reserved_tiles, exclusive,
         )
-        result.tuples = tuples
 
         # Each bound term is kept in the spec's tables, keyed by its arguments.
-        tables = spec.tables
         bus, core_tuple = tuples.bus, tuples.core
         task_parts, task_wcrt = result.task_parts, result.task_wcrt
-        for task_id, tile_id, wcet, md, st in stage.task_args:
+        for task_id, tile_id, wcet, md, st in task_args:
             parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
                           timing.wcrt)
             task_parts[task_id] = parts
             task_wcrt[task_id] = sum(parts)
 
-        router_delay = spec.architecture.noc.router_delay
         tx, route, rx = tuples.tx, tuples.route, tuples.rx
         transfer_parts, transfer_wctt = result.transfer_parts, result.transfer_wctt
-        for k, src, dst, md, src_st, flits, hops, dst_st in stage.transfer_args:
+        for k, src, dst, md, src_st, flits, hops, dst_st in transfer_args:
             parts = (
                 _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
-                _term(tables, ("d_noc", flits, hops, router_delay, route[k]),
+                _term(tables, ("d_noc", flits, hops, noc.router_delay, route[k]),
                       timing.noc_latency),
                 _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
             )
@@ -542,8 +468,9 @@ def _build(
             usage,
             energy(spec, bindings, instances, usage),
         )
-    # Kept only once whole: a decode that raises leaves no entry.
-    _keep(stage.results, key, result)
+    # Kept only once whole: a decode that raises leaves no entry, and the
+    # entry goes as soon as the result dies.
+    results[key] = weakref.ref(result, lambda _, k=key: results.pop(k, None))
     return result
 
 

@@ -422,12 +422,10 @@ class ProblemSpec:
           ("d_noc", flits, hops, router delay, route tuple) and
           ("d_rx", memory demand, service time, bus tuple, rx tuple)
               -> `timing.tx_latency`, `noc_latency` and `rx_latency`
-          ("bindings",) -> a dict from (task ids..., core ids...), in
-              binding order, to a weak reference to the binding's
-              `mapping.BindingStage`. Each `MappingResult` holds its stage,
-              and an entry is removed when its stage dies, so the dict
-              holds only the stages of live results. A stage's `results`
-              maps each phenotype's live result the same way.
+          ("results",) -> a dict from (mode, reserved cores, reserved
+              tiles, task ids..., core ids...), in binding order, to a weak
+              reference to that phenotype's `mapping.MappingResult`. An
+              entry is removed when its result dies.
         """
         return {}
 
@@ -623,8 +621,6 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
             _req(traw, "core_policy", tpath), f"{tpath}.core_policy", suffix="_us"
         )
         n_cores = _int(_req(traw, "cores", tpath), f"{tpath}.cores")
-        if n_cores < 1:
-            raise ValidationError(f"{tpath}: cores must be >= 1")
         core_type = str(_req(traw, "core_type", tpath))
         memories = []
         for j, mraw in enumerate(_req_list(traw, "memories", tpath)):
@@ -705,9 +701,18 @@ def parse_spec(text: str) -> ProblemSpec:
     return ProblemSpec(application=app, architecture=arch, mapping_edges=edges)
 
 
+def read_document(path: str) -> str:
+    """The UTF-8 text of the file at `path`; other bytes raise
+    SpecSyntaxError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecSyntaxError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def load_spec(path: str) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    return parse_spec(read_document(path))
 
 
 def _us(ns: int) -> float | int:

@@ -483,6 +483,17 @@ def test_invalid_spec_exits_2(tmp_path, capsys, edit, hint):
     assert re.search(hint, err) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("role", ["spec", "mapping"])
+def test_non_utf8_document_exits_2(spec_path, mapping_path, tmp_path, capsys, role):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    paths = {"spec": spec_path, "mapping": mapping_path, role: bad}
+    assert main(["analyze", "--spec", str(paths["spec"]),
+                 "--mapping", str(paths["mapping"])]) == 2
+    err = capsys.readouterr().err
+    assert "bad.bin: not valid UTF-8" in err and "Traceback" not in err
+
+
 def test_malformed_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"application": 5}')

@@ -245,10 +245,9 @@ def test_energy_requires_every_coefficient(two_tile_spec):
         spec = parse_spec(json.dumps(broken))
         with pytest.raises(MissingCoefficient) as raised:
             from_bindings(spec, SHARED)
-        # The traceback keeps the stage alive, but a decode that raises
-        # leaves no result in it, so the next decode raises too.
-        (stage,) = spec.tables[("bindings",)].values()
-        assert stage().results == {}
+        # The traceback keeps the unfinished result alive, but a decode
+        # that raises leaves no entry, so the next decode raises too.
+        assert spec.tables[("results",)] == {}
         with pytest.raises(MissingCoefficient):
             from_bindings(spec, SHARED)
         del raised
@@ -474,24 +473,20 @@ def test_reordered_binding_names_its_own_overloaded_core():
     assert sum(differs) == 5
 
 
-def test_binding_stages_live_only_as_long_as_their_results():
+def test_live_results_map_lives_only_as_long_as_its_results():
     spec = generate_spec("networking", (4, 4), 0)
     rng = Random(2)
     genotypes = [random_genotype(spec, rng) for _ in range(30)]
     results = [decode(spec, g, mode) for g in genotypes for mode in ExplorationMode]
-    stages = spec.tables[("bindings",)]
-    keys = [(*r.bindings, *r.bindings.values()) for r in results]
-    assert len(stages) == len(set(keys))
-    assert all(stages[k]() is r.stage for k, r in zip(keys, results))
-    phenotypes = [(r.mode, r.reserved_cores, r.reserved_tiles) for r in results]
-    assert all(r.stage.results[p]() is r for p, r in zip(phenotypes, results))
-    held = [r.stage for r in results]
-    gc.disable()            # reference counting alone empties both maps
+    live = spec.tables[("results",)]
+    keys = [(r.mode, r.reserved_cores, r.reserved_tiles, *r.bindings, *r.bindings.values())
+            for r in results]
+    assert len(live) == len(set(keys))
+    assert all(live[k]() is r for k, r in zip(keys, results))
+    gc.disable()            # reference counting alone empties the map
     try:
         del results
-        assert not any(s.results for s in held)
-        del held
-        assert len(stages) == 0
+        assert len(live) == 0
     finally:
         gc.enable()
     for mode in ExplorationMode:
@@ -501,11 +496,11 @@ def test_binding_stages_live_only_as_long_as_their_results():
         for _ in range(5):
             assert decode(spec, genotypes[0], mode) is kept
             assert len(spec.tables) == size
-        assert len(kept.stage.results) == 1
+        assert len(live) == 1
         del kept
         decode(spec, genotypes[0], mode)
         assert len(spec.tables) == size
-    assert len(stages) == 0
+    assert len(live) == 0
 
 
 def test_a_repeated_phenotype_returns_its_live_result():
@@ -528,7 +523,7 @@ def test_a_repeated_phenotype_returns_its_live_result():
         # whose document names its own mode
         fixed = decode(spec, g, ExplorationMode.FIXED_CS)
         free = from_bindings(spec, res.bindings)
-        assert fixed is not free and fixed.stage is free.stage
+        assert fixed is not free
         a, b = fixed.to_doc(), free.to_doc()
         assert (a.pop("mode"), b.pop("mode")) == ("FixedCS", "IsolationAware")
         assert json.dumps(a) == json.dumps(b)
@@ -543,17 +538,13 @@ def test_dead_references_are_misses():
     dead = weakref.ref(type("Gone", (), {})())
     assert dead() is None
     first = from_bindings(spec, SHARED)
-    stages = spec.tables[("bindings",)]
-    stage_key = (*SHARED, *SHARED.values())
-    stages[stage_key] = dead
+    live = spec.tables[("results",)]
+    key = (first.mode, first.reserved_cores, first.reserved_tiles,
+           *SHARED, *SHARED.values())
+    assert live[key]() is first
+    live[key] = dead
     second = from_bindings(spec, SHARED)
-    assert second.stage is not first.stage and stages[stage_key]() is second.stage
-    phenotype = (second.mode, second.reserved_cores, second.reserved_tiles)
-    second.stage.results[phenotype] = dead
-    third = from_bindings(spec, SHARED)
-    assert third is not second and third.stage is second.stage
-    assert second.stage.results[phenotype]() is third
-    del first, second
-    assert stages[stage_key]() is third.stage
-    assert third.stage.results[phenotype]() is third
-    assert json.dumps(third.to_doc()) == expected
+    assert second is not first and live[key]() is second
+    del first
+    assert live[key]() is second
+    assert json.dumps(second.to_doc()) == expected

@@ -18,6 +18,7 @@ from isoexplore.model import (
     Task,
     emit_spec,
     end_to_end_paths,
+    load_spec,
     parse_spec,
 )
 
@@ -249,7 +250,9 @@ VALIDATION_CASES = [
     (lambda d: d["application"].update(edges=[{"src": "a", "dst": "b"}]),
      "must link a task and a message"),
     (lambda d: d["architecture"]["tile_types"][0].update({"cores": 0}),
-     "cores must be >= 1"),
+     "needs at least one core"),
+    (lambda d: d["architecture"]["tile_types"][0].update({"cores": -1}),
+     "tile t0: needs at least one core"),
     (lambda d: d["architecture"]["tile_types"][0].update({"memories": []}),
      "needs at least one memory"),
     (lambda d: d["architecture"]["tile_types"][0].update({"bus_master_weight": 0}),
@@ -294,6 +297,13 @@ SYNTAX_CASES = [
 def test_syntax_errors(edit, hint):
     with pytest.raises(SpecSyntaxError, match=hint):
         parse(mutated(edit))
+
+
+def test_non_utf8_spec_file_raises_syntax_error(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(SpecSyntaxError, match="bad.bin: not valid UTF-8"):
+        load_spec(str(bad))
 
 
 ENERGY = {"dynamic_per_core_type": {"gp": 0.9}, "static_per_core": 3, "e_link": 0.02,

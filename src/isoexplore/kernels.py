@@ -2,6 +2,9 @@
 
 All arguments and results are integer nanoseconds or counts; ceilings are
 exact integer arithmetic.
+
+`min_task_weight` and `min_msg_weight` share one doubling-then-bisection
+search, `_least_weight`, each passing the probe of its own bound.
 """
 
 from __future__ import annotations
@@ -55,22 +58,14 @@ def task_response(
     return demand + core_stall(demand, core_slot, core_weight, core_period)
 
 
-def min_task_weight(
-    deadline: int, demand: int, core_slot: int, core_period: int, capacity: int
-) -> int:
-    """Least core weight whose response time meets the deadline, 0 if none.
+def _least_weight(meets, top: int, capacity: int) -> int:
+    """Least weight in 1..capacity for which `meets(weight)` holds, 0 if none.
 
-    `demand` is the weight-independent numerator (execution + memory service
-    + bus stalls); only the preemption term varies with the weight.
-
-    Up to `top` the stall, a product of two non-negative factors that shrink
-    as the weight grows, is non-increasing: the search doubles the weight,
-    then bisects, so weights 1 and 2 take a linear search's probes and any
-    other O(log capacity). Above `top` (a period shorter than its slots,
-    which no policy yields) it goes one by one. Written out here and in
-    `min_msg_weight`: a callback per probe doubled the cost of a search.
+    Up to `top` the probed bound is non-increasing in the weight, so the
+    search doubles the weight, then bisects: weights 1 and 2 take a linear
+    search's probes and any other O(log capacity). Above `top` (a period
+    shorter than its slots, which no policy yields) it goes one by one.
     """
-    top = min(core_period // core_slot, capacity)
     lo, hi = 0, capacity + 1        # fails at lo (0: none tried); meets at hi
     while hi - lo > 1:
         if hi <= capacity:
@@ -79,12 +74,28 @@ def min_task_weight(
             w = (2 * lo if 2 * lo < top else top) or 1
         else:
             w = lo + 1
-        budget = w * core_slot
-        if demand + ceil_div(demand, budget) * (core_period - budget) <= deadline:
+        if meets(w):
             hi = w
         else:
             lo = w
     return hi if hi <= capacity else 0
+
+
+def min_task_weight(
+    deadline: int, demand: int, core_slot: int, core_period: int, capacity: int
+) -> int:
+    """Least core weight whose response time meets the deadline, 0 if none.
+
+    `demand` is the weight-independent numerator (execution + memory service
+    + bus stalls); only the preemption term, a product of two factors that
+    shrink as the weight grows, varies with the weight.
+    """
+
+    def meets(w: int) -> bool:
+        budget = w * core_slot
+        return demand + ceil_div(demand, budget) * (core_period - budget) <= deadline
+
+    return _least_weight(meets, min(core_period // core_slot, capacity), capacity)
 
 
 def msg_bus_slots(md: int, bus_slot: int, st: int) -> int:
@@ -167,24 +178,16 @@ def min_msg_weight(
     link_period: int,
     capacity: int,
 ) -> int:
-    """Least shared TX/route/RX weight meeting the deadline, 0 if none,
-    searched as in `min_task_weight` (a routed transfer has a hop, so every
-    stall term shrinks with the weight up to the shortest period in slots)."""
-    top = min(tx_period // tx_slot, rx_period // rx_slot, link_period // cycle, capacity)
-    lo, hi = 0, capacity + 1        # fails at lo (0: none tried); meets at hi
-    while hi - lo > 1:
-        if hi <= capacity:
-            w = (lo + hi) // 2
-        elif lo < top:
-            w = (2 * lo if 2 * lo < top else top) or 1
-        else:
-            w = lo + 1
-        if msg_traversal(
+    """Least shared TX/route/RX weight meeting the deadline, 0 if none. A
+    routed transfer has a hop, so every stall term shrinks with the weight
+    up to the shortest period in slots."""
+
+    def meets(w: int) -> bool:
+        return msg_traversal(
             tx_fixed, tx_rounds, tx_slot, tx_period,
             rx_fixed, rx_rounds, rx_slot, rx_period,
             flits, hops, router_delay, cycle, w, link_period,
-        ) <= deadline:
-            hi = w
-        else:
-            lo = w
-    return hi if hi <= capacity else 0
+        ) <= deadline
+
+    top = min(tx_period // tx_slot, rx_period // rx_slot, link_period // cycle, capacity)
+    return _least_weight(meets, top, capacity)

@@ -19,7 +19,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 from random import Random
 from typing import Mapping as TMapping
 from typing import Sequence
@@ -27,17 +27,7 @@ from typing import Sequence
 from . import scheduling, timing
 from .errors import Infeasible, MissingCoefficient, ValidationError
 from .model import Message, NocConfig, ProblemSpec
-from .scheduling import BudgetAssignment, InstanceKey, Placement, TupleSet
-
-
-class IsolationScheme(IntEnum):
-    CORE_SHARING = 0
-    CORE_RESERVATION = 1
-    TILE_RESERVATION = 2
-
-    @property
-    def short(self) -> str:
-        return ("CS", "CR", "TR")[int(self)]
+from .scheduling import BudgetAssignment, InstanceKey, IsolationScheme, Placement, TupleSet
 
 
 class ExplorationMode(Enum):
@@ -254,23 +244,21 @@ def route_instances(
 
 def resource_usage(
     placement: Placement,
-    reserved_tiles: frozenset[str],
-    reserved_cores: frozenset[str],
-    task_weights: TMapping[str, int],
+    schemes: TMapping[str, IsolationScheme],
+    core_loads: TMapping[str, int],
 ) -> float:
     """Allocated compute, in cores: a reserved tile claims all its cores, a
     reserved core claims one, a shared core its weight fraction."""
     usage = 0.0
     for tile, hosting, _, _ in placement.tiles:
-        if tile.id in reserved_tiles:
+        if schemes[hosting[0].id] is IsolationScheme.TILE_RESERVATION:
             usage += len(tile.cores)
             continue
         for core in hosting:
-            if core.id in reserved_cores:
+            if schemes[core.id] is IsolationScheme.CORE_RESERVATION:
                 usage += 1.0
             else:
-                total_w = sum(task_weights[t] for t in placement.tasks_on_core[core.id])
-                usage += total_w / core.policy.capacity
+                usage += core_loads[core.id] / core.policy.capacity
     return usage
 
 
@@ -423,20 +411,15 @@ def _build(
                 inst.key, src.id, dst.id, m.mem_demand, src.memory.service_time,
                 flits, inst.hops, dst.memory.service_time,
             ))
-        scheduling.check_feasibility(
+        loads = scheduling.check_feasibility(
             spec, bindings, instances, task_weights, message_weights)
     except Infeasible as exc:
         result.reason = str(exc)
     else:
         result.feasible = True
         result.budget = BudgetAssignment(task_weights, message_weights)
-        exclusive = {
-            c for c, s in schemes.items() if s is not IsolationScheme.CORE_SHARING
-        }
         tuples = result.tuples = scheduling.refine_tuples(
-            spec, placement, instances, task_weights, message_weights,
-            reserved_tiles, exclusive,
-        )
+            spec, placement, instances, task_weights, message_weights, schemes, loads)
 
         # Each bound term is kept in the spec's tables, keyed by its arguments.
         bus, core_tuple = tuples.bus, tuples.core
@@ -462,7 +445,7 @@ def _build(
         result.makespan = timing.makespan(app, task_wcrt, transfer_wctt)
         result.throughput = timing.throughput(task_wcrt, transfer_wctt)
 
-        usage = resource_usage(placement, reserved_tiles, reserved_cores, task_weights)
+        usage = resource_usage(placement, schemes, loads[0])
         result.objectives = (
             result.makespan,
             usage,

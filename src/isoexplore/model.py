@@ -226,6 +226,24 @@ class Memory:
             raise ValidationError(f"memory {self.id}: service time must be positive")
 
 
+def _check_tile_counts(tile_id: str, n_cores: int, n_memories: int,
+                       bus_master_weight: int, bus_capacity: int) -> None:
+    """At least one core and one memory, and a bus cycle of
+    `bus_master_weight` slots per core, TX and RX."""
+    if n_cores < 1:
+        raise ValidationError(f"tile {tile_id}: needs at least one core")
+    if n_memories < 1:
+        raise ValidationError(f"tile {tile_id}: needs at least one memory")
+    if bus_master_weight < 1:
+        raise ValidationError(f"tile {tile_id}: bus_master_weight must be >= 1")
+    expected = (n_cores + 2) * bus_master_weight
+    if bus_capacity != expected:
+        raise ValidationError(
+            f"tile {tile_id}: bus capacity {bus_capacity} does not "
+            f"cover its masters (cores + TX + RX = {expected} slots)"
+        )
+
+
 @dataclass(frozen=True)
 class Tile:
     id: str
@@ -239,18 +257,8 @@ class Tile:
     rx_policy: ArbitrationPolicy
 
     def __post_init__(self):
-        if not self.cores:
-            raise ValidationError(f"tile {self.id}: needs at least one core")
-        if not self.memories:
-            raise ValidationError(f"tile {self.id}: needs at least one memory")
-        if self.bus_master_weight < 1:
-            raise ValidationError(f"tile {self.id}: bus_master_weight must be >= 1")
-        expected = (len(self.cores) + 2) * self.bus_master_weight
-        if self.bus_policy.capacity != expected:
-            raise ValidationError(
-                f"tile {self.id}: bus capacity {self.bus_policy.capacity} does not "
-                f"cover its masters (cores + TX + RX = {expected} slots)"
-            )
+        _check_tile_counts(self.id, len(self.cores), len(self.memories),
+                           self.bus_master_weight, self.bus_policy.capacity)
         if self.bus_policy.slot_len < self.memory.service_time:
             raise ValidationError(
                 f"tile {self.id}: bus slot_len {self.bus_policy.slot_len} is shorter "
@@ -634,32 +642,19 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
                 )
             )
         na_raw = _req(traw, "na", tpath)
-        tiles.append(
-            Tile(
-                id=tid,
-                type_name=type_name,
-                pos=(_int(pos_raw[0], f"{path}.pos x"), _int(pos_raw[1], f"{path}.pos y")),
-                cores=tuple(
-                    Core(id=f"{tid}.c{j}", tile_id=tid, core_type=core_type, policy=core_policy)
-                    for j in range(n_cores)
-                ),
-                memories=tuple(memories),
-                bus_policy=_policy(
-                    _req(traw, "bus_policy", tpath), f"{tpath}.bus_policy", suffix="_ns"
-                ),
-                bus_master_weight=_int(
-                    traw.get("bus_master_weight", 1), f"{tpath}.bus_master_weight"
-                ),
-                tx_policy=_policy(
-                    _req(na_raw, "tx", f"{tpath}.na"), f"{tpath}.na.tx",
-                    suffix="_ns", slot_required=False,
-                ),
-                rx_policy=_policy(
-                    _req(na_raw, "rx", f"{tpath}.na"), f"{tpath}.na.rx",
-                    suffix="_ns", slot_required=False,
-                ),
-            )
-        )
+        pos = (_int(pos_raw[0], f"{path}.pos x"), _int(pos_raw[1], f"{path}.pos y"))
+        bus_policy = _policy(_req(traw, "bus_policy", tpath), f"{tpath}.bus_policy",
+                             suffix="_ns")
+        bmw = _int(traw.get("bus_master_weight", 1), f"{tpath}.bus_master_weight")
+        tx_policy = _policy(_req(na_raw, "tx", f"{tpath}.na"), f"{tpath}.na.tx",
+                            suffix="_ns", slot_required=False)
+        rx_policy = _policy(_req(na_raw, "rx", f"{tpath}.na"), f"{tpath}.na.rx",
+                            suffix="_ns", slot_required=False)
+        # Checked before the cores are built, so a huge count costs nothing.
+        _check_tile_counts(tid, n_cores, len(memories), bmw, bus_policy.capacity)
+        cores = tuple(Core(f"{tid}.c{j}", tid, core_type, core_policy) for j in range(n_cores))
+        tiles.append(Tile(tid, type_name, pos, cores, tuple(memories), bus_policy, bmw,
+                          tx_policy, rx_policy))
 
     energy = obj.get("energy", {})
     if not isinstance(energy, dict):

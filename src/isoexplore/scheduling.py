@@ -5,19 +5,21 @@ tile's cores and outbound and inbound transfers. Refinement, the resource
 objective, the mapping document and the simulator all read that grouping.
 
 Weights are searched at unreduced capacity (smallest weight whose bound
-meets the element's period); `check_feasibility` raises `Infeasible` for
-the first resource whose weights exceed its capacity. Capacity reductions
-are applied afterwards, which only tightens the bounds. Two compensation
-rules are baked into every tuple built here: a bus arbitration delay is
-extended by its memory's service time, and a core's context-switch delay
-by the largest service time it can reach, so that an access granted late
-can complete.
+meets the element's period); `check_feasibility` sums them per core and
+per adapter, and raises `Infeasible` for the first resource whose weights
+exceed its capacity. Refinement and the resource objective read those
+sums. Capacity reductions are applied afterwards, which only tightens the
+bounds. Two compensation rules are baked into every tuple built here: a
+bus arbitration delay is extended by its memory's service time, and a
+core's context-switch delay by the largest service time it can reach, so
+that an access granted late can complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from enum import IntEnum
+from typing import Mapping, Sequence
 
 from . import kernels
 from .arbitration import ArbitrationPolicy, ArbitrationTuple, make_tuple, reduce_capacity
@@ -25,6 +27,16 @@ from .errors import Infeasible
 from .model import Core, NocConfig, ProblemSpec, Tile
 
 InstanceKey = tuple[str, str]  # (message id, consumer task id)
+
+
+class IsolationScheme(IntEnum):
+    CORE_SHARING = 0
+    CORE_RESERVATION = 1
+    TILE_RESERVATION = 2
+
+    @property
+    def short(self) -> str:
+        return ("CS", "CR", "TR")[int(self)]
 
 
 def extended_bus_policy(tile: Tile) -> ArbitrationPolicy:
@@ -161,10 +173,10 @@ def check_feasibility(
     instances: Sequence,
     task_weights: Mapping[str, int],
     message_weights: Mapping[InstanceKey, int],
-) -> None:
-    """Raise `Infeasible` for the first resource whose weights exceed its
-    capacity: cores in binding order, then TX, RX and links in transfer
-    order.
+) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """The weights summed per core, in binding order, and per TX and per RX
+    tile, in transfer order. Raises `Infeasible` for the first resource
+    whose weights exceed its capacity: cores, then TX, RX and links.
 
     `instances` are routed-transfer records (key, src/dst tile ids, route
     link ids) as produced by the mapping layer.
@@ -193,6 +205,7 @@ def check_feasibility(
             cap = capacity(resource)
             if total > cap:
                 raise Infeasible(f"{kind} {resource} overloaded: {total} > {cap}")
+    return per_core, per_tx, per_rx
 
 
 @dataclass
@@ -206,6 +219,8 @@ class TupleSet:
     route: dict[InstanceKey, ArbitrationTuple]
     bus_capacity: dict[str, int]                 # effective, per hosting tile
     core_capacity: dict[str, int]                # effective, per hosting core
+    tx_capacity: dict[str, int]                  # effective, per tile with outbound traffic
+    rx_capacity: dict[str, int]                  # effective, per tile with inbound traffic
 
 
 def refine_tuples(
@@ -214,22 +229,23 @@ def refine_tuples(
     instances: Sequence,
     task_weights: Mapping[str, int],
     message_weights: Mapping[InstanceKey, int],
-    reserved_tiles: Iterable[str] = (),
-    exclusive_cores: Iterable[str] = (),
+    schemes: Mapping[str, IsolationScheme],
+    loads: tuple[Mapping[str, int], Mapping[str, int], Mapping[str, int]],
 ) -> TupleSet:
     """Build every tuple, reducing capacities where isolation allows.
 
-    Exclusively allocated cores keep only their tasks' slots; reserved tiles
-    drop the bus slots of idle cores and shrink TX/RX cycles to the traffic
-    they actually carry. Route links never shrink. Reductions apply to
-    work-conserving policies only.
+    `schemes` holds each hosting core's isolation scheme, and `loads` the
+    per-core, per-TX and per-RX weights that `check_feasibility` returns.
+    Reserved cores and cores of reserved tiles keep only their tasks' slots;
+    reserved tiles drop the bus slots of idle cores and shrink TX/RX cycles
+    to the traffic they actually carry. Route links never shrink. Reductions
+    apply to work-conserving policies only.
 
     Each tuple is built once per spec and kept in its tables, keyed by
     what it depends on.
     """
-    reserved_tiles = set(reserved_tiles)
-    exclusive_cores = set(exclusive_cores)
-    ts = TupleSet({}, {}, {}, {}, {}, {}, {})
+    core_loads, tx_loads, rx_loads = loads
+    ts = TupleSet({}, {}, {}, {}, {}, {}, {}, {}, {})
     # No stored tuple is falsy, so `tables.get(key) or` builds only on a miss.
     tables = spec.tables
 
@@ -239,9 +255,11 @@ def refine_tuples(
         if policies is None:
             policies = tables[tid] = (extended_bus_policy(tile), extended_core_policy(tile))
         bus_policy, core_policy = policies
+        # Every hosting core of a reserved tile is tile-reserved.
+        reserved = schemes[hosting[0].id] is IsolationScheme.TILE_RESERVATION
         bmw = tile.bus_master_weight
         k_bus = bus_policy.capacity
-        if tid in reserved_tiles and bus_policy.work_conserving:
+        if reserved and bus_policy.work_conserving:
             k_bus -= (len(tile.cores) - len(hosting)) * bmw
         ts.bus_capacity[tid] = k_bus
         key = ("bus", tid, bmw, k_bus)
@@ -249,30 +267,27 @@ def refine_tuples(
             key, make_tuple(bus_policy, bmw, k_bus))
 
         for core in hosting:
-            on_core = placement.tasks_on_core[core.id]
-            if core.id in exclusive_cores:
-                k_core = reduce_capacity(core_policy, sum(task_weights[t] for t in on_core))
-            else:
+            if schemes[core.id] is IsolationScheme.CORE_SHARING:
                 k_core = core_policy.capacity
+            else:
+                k_core = reduce_capacity(core_policy, core_loads[core.id])
             ts.core_capacity[core.id] = k_core
-            for task_id in on_core:
+            for task_id in placement.tasks_on_core[core.id]:
                 w = task_weights[task_id]
                 key = ("core", tid, w, k_core)
                 ts.core[task_id] = tables.get(key) or tables.setdefault(
                     key, make_tuple(core_policy, w, k_core))
 
-        for kind, out, traffic, policy in (
-            ("tx", ts.tx, outbound, tile.tx_policy),
-            ("rx", ts.rx, inbound, tile.rx_policy),
+        for kind, out, caps, traffic, policy, side_loads in (
+            ("tx", ts.tx, ts.tx_capacity, outbound, tile.tx_policy, tx_loads),
+            ("rx", ts.rx, ts.rx_capacity, inbound, tile.rx_policy, rx_loads),
         ):
             if not traffic:
                 continue
-            weights = [message_weights[i.key] for i in traffic]
-            if tid in reserved_tiles and policy.work_conserving:
-                k_na = reduce_capacity(policy, sum(weights))
-            else:
-                k_na = policy.capacity
-            for inst, w in zip(traffic, weights):
+            k_na = caps[tid] = (
+                reduce_capacity(policy, side_loads[tid]) if reserved else policy.capacity)
+            for inst in traffic:
+                w = message_weights[inst.key]
                 key = (kind, tid, w, k_na, k_bus)
                 out[inst.key] = tables.get(key) or tables.setdefault(
                     key, make_tuple(policy, w, k_na, bus.period))

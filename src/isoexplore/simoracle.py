@@ -502,18 +502,16 @@ class _Sim:
             # Without traffic, the adapter's bus slots are inert on a
             # reserved tile and background load on a shared one.
             adapters = []
-            for side, traffic, pol_u, step in (
-                (0, outbound, tile.tx_policy, self._inject),
-                (2, inbound, tile.rx_policy, self._delivered),
+            for side, traffic, pol_u, caps, step in (
+                (0, outbound, tile.tx_policy, tuples.tx_capacity, self._inject),
+                (2, inbound, tile.rx_policy, tuples.rx_capacity, self._delivered),
             ):
                 if not traffic:
                     adapters.append(_Owner() if reserved else _Phantom())
                     continue
                 unit = _Unit(step)
                 adapters.append(unit)
-                cap = (sum(msg_weights[i.key] for i in traffic)
-                       if reserved and pol_u.work_conserving else pol_u.capacity)
-                self._sized(cap, f"{tile.id} {'tx' if side == 0 else 'rx'}")
+                cap = self._sized(caps[tile.id], f"{tile.id} {'tx' if side == 0 else 'rx'}")
                 flows = [self.routes[i.key][side] for i in traffic
                          for _ in range(msg_weights[i.key])]
                 self._arbiter(self._fill(flows, cap), tuples.bus[tile.id].period,

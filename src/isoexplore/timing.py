@@ -101,23 +101,21 @@ def wctt(
 def makespan(
     app: ApplicationGraph,
     task_response_times: Mapping[str, int],
-    message_traversal_times: Mapping[str, int] | Mapping[tuple[str, str], int],
+    message_traversal_times: Mapping[tuple[str, str], int],
 ) -> int:
     """Longest end-to-end chain: response times plus traversal times.
 
     One longest-path pass over the tasks in topological order:
     finish(t) = wcrt(t) + max over input messages m of
-    (finish(m.src) + traversal of m to t). A traversal is looked up by
-    (message id, consumer id) first so per-consumer traversals can differ,
-    then by message id alone; local messages may simply be absent (0).
+    (finish(m.src) + traversal of m to t). Traversals are keyed by
+    (message id, consumer id), so each consumer's can differ; a local
+    message has no entry and takes 0.
     """
     finish: dict[str, int] = {}
     for t in app.topo_order:
         arrival = 0
         for m in app.inputs_of[t]:
-            wctt_m = message_traversal_times.get(
-                (m.id, t), message_traversal_times.get(m.id, 0))
-            arrival = max(arrival, finish[m.src] + wctt_m)
+            arrival = max(arrival, finish[m.src] + message_traversal_times.get((m.id, t), 0))
         finish[t] = task_response_times[t] + arrival
     return max(finish.values())
 

@@ -1,9 +1,10 @@
 """Shared fixtures: the bundled two-tile example and small generated specs,
-and a guard on kernel call counts."""
+a guard on kernel call counts, and a bytecode counter."""
 
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -24,6 +25,31 @@ def call_budget(monkeypatch, name: str, calls: int = 10_000) -> None:
         return inner(*args)
 
     monkeypatch.setattr(kernels, name, counted)
+
+
+def count_opcodes(fn, *args):
+    """(bytecodes executed by `fn(*args)` and every frame it calls, its
+    result). The count repeats exactly from run to run, but differs between
+    Python versions, so compare counts only within one interpreter. The
+    trace function set before, if any, is put back afterwards."""
+    count = [0]
+
+    def on_opcode(frame, event, arg):
+        if event == "opcode":
+            count[0] += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count[0], result
 
 
 def tight_spec_text() -> str:

@@ -1,0 +1,85 @@
+"""Parsing a spec and decoding one mapping grow linearly in the application
+graph: the bytecodes they execute per task and message edge stay within a
+fixed factor from n to 4n tasks, on a chain, a fan-out and a complete DAG.
+Counts, not times, so the test holds on any host; counts differ between
+Python versions, so it asserts ratios only."""
+
+import json
+
+import pytest
+
+from isoexplore.mapping import Genotype, decode
+from isoexplore.model import parse_spec
+
+from conftest import count_opcodes
+
+N = 20
+GROWTH = 1.5        # allowed rise of the count per task and edge, n to 4n
+POLICY = {"arb_delay_ns": 0, "work_conserving": True}
+TILES = [(f"t{x}_{y}", [x, y]) for y in range(2) for x in range(2)]
+CORES = [f"{tid}.c{k}" for k in range(4) for tid, _ in TILES]    # tiles in turn
+
+
+def edges_of(shape: str, n: int) -> list[tuple[int, int]]:
+    if shape == "chain":
+        return [(i, i + 1) for i in range(n - 1)]
+    if shape == "fan-out":
+        return [(0, j) for j in range(1, n)]
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def spec_text(n: int, edges: list[tuple[int, int]]) -> str:
+    """A 2x2 mesh of four 4-core tiles with room for every shape: long
+    periods, and adapters and links wide enough for a complete DAG. Task i
+    may run on one core only, the i-th in `CORES`, so neighbours in a chain
+    sit on different tiles."""
+    doc = {
+        "application": {
+            "tasks": [{"id": f"a{i}", "period_us": 100_000, "wcet_us": {"gp": 10},
+                       "mem_demand": 2} for i in range(n)],
+            "messages": [{"id": f"m{i}_{j}", "src": f"a{i}", "dst": f"a{j}",
+                          "period_us": 100_000, "payload_bytes": 32, "mem_demand": 1}
+                         for i, j in edges],
+        },
+        "architecture": {
+            "mesh": [2, 2],
+            "tile_types": [{
+                "name": "basic", "cores": 4, "core_type": "gp",
+                "core_policy": {"slot_len_us": 50, "arb_delay_us": 10, "capacity": 64,
+                                "work_conserving": True},
+                "memories": [{"service_time_ns": 70}],
+                "bus_policy": {"slot_len_ns": 70, **POLICY, "capacity": 6},
+                "na": {"tx": {**POLICY, "capacity": 4096},
+                       "rx": {**POLICY, "capacity": 4096}},
+            }],
+            "tiles": [{"id": tid, "type": "basic", "pos": pos} for tid, pos in TILES],
+            "noc": {"tau_ns": 10, "router_delay_cycles": 2, "flit_payload_bytes": 16,
+                    "header_flits": 1,
+                    "link_policy": {"slot_len": 10, "arb_delay": 0, "capacity": 4096,
+                                    "work_conserving": True}},
+            "energy": {"dynamic_per_core_type": {"gp": 0.9}, "static_per_core": 3.0,
+                       "e_link": 0.02, "e_router": 0.03, "e_bus_src": 0.01,
+                       "e_bus_dst": 0.01},
+        },
+        "mapping_edges": [{"task": f"a{i}", "core": CORES[i % len(CORES)]}
+                          for i in range(n)],
+    }
+    return json.dumps(doc)
+
+
+def parse_and_decode(text: str):
+    spec = parse_spec(text)
+    n = len(spec.application.tasks)
+    return decode(spec, Genotype((0,) * n, (0,) * len(CORES), (0,) * len(TILES)))
+
+
+@pytest.mark.parametrize("shape", ["chain", "fan-out", "complete"])
+def test_parse_and_decode_grow_linearly(shape):
+    per_unit = []
+    for n in (N, 4 * N):
+        edges = edges_of(shape, n)
+        count, result = count_opcodes(parse_and_decode, spec_text(n, edges))
+        assert result.feasible, result.reason
+        assert result.instances          # transfers are routed and budgeted
+        per_unit.append(count / (n + len(edges)))
+    assert per_unit[1] <= GROWTH * per_unit[0], per_unit

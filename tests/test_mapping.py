@@ -215,13 +215,14 @@ def test_digest_tracks_decision_variables(two_tile_spec):
 
 
 def test_resource_usage_tiers(two_tile_spec):
-    weights = {"t0": 3, "t1": 1, "t2": 2}
+    loads = {"t0_0.c0": 3, "t1_0.c0": 1, "t0_0.c1": 2}
     placement = place(two_tile_spec, SHARED, route_instances(two_tile_spec, SHARED))
-    shared = resource_usage(placement, frozenset(), frozenset(), weights)
-    assert shared == pytest.approx(3 / 5 + 2 / 5 + 1 / 5)
-    core_res = resource_usage(placement, frozenset(), frozenset({"t0_0.c0"}), weights)
+    CS, CR, TR = IsolationScheme
+    shared = dict.fromkeys(loads, CS)
+    assert resource_usage(placement, shared, loads) == pytest.approx(3 / 5 + 2 / 5 + 1 / 5)
+    core_res = resource_usage(placement, {**shared, "t0_0.c0": CR}, loads)
     assert core_res == pytest.approx(1 + 2 / 5 + 1 / 5)
-    tile_res = resource_usage(placement, frozenset({"t0_0"}), frozenset(), weights)
+    tile_res = resource_usage(placement, {**shared, "t0_0.c0": TR, "t0_0.c1": TR}, loads)
     assert tile_res == pytest.approx(3 + 1 / 5)     # all 3 cores of t0_0
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from isoexplore.errors import (
     SpecSyntaxError,
     ValidationError,
 )
+from isoexplore.generator import generate_spec
 from isoexplore.model import (
     NS_PER_US,
     ApplicationGraph,
@@ -304,6 +306,23 @@ def test_non_utf8_spec_file_raises_syntax_error(tmp_path):
     bad.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(SpecSyntaxError, match="bad.bin: not valid UTF-8"):
         load_spec(str(bad))
+
+
+def test_core_count_is_checked_before_the_cores_are_built():
+    # About 170 bytes a core: building 200,000 before the check peaked at 33 MiB.
+    doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 0)))
+    tile_type = doc["architecture"]["tile_types"][0]
+    tile_type["cores"] = 200_000
+    tile_type["bus_policy"]["capacity"] = 6
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="bus capacity 6 does not cover its masters"):
+            parse_spec(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 ENERGY = {"dynamic_per_core_type": {"gp": 0.9}, "static_per_core": 3, "e_link": 0.02,

@@ -11,6 +11,7 @@ from isoexplore.arbitration import ArbitrationTuple
 from isoexplore.errors import Infeasible
 from isoexplore.model import parse_spec
 from isoexplore.scheduling import (
+    IsolationScheme,
     bus_master_tuple,
     check_feasibility,
     extended_bus_policy,
@@ -189,7 +190,12 @@ def test_check_feasibility_accepts_fitting_budgets():
     spec = make_spec()
     inst = make_inst(spec)
     assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                             {"a": 3, "b": 2}, {("m", "b"): 4}) is None
+                             {"a": 3, "b": 2}, {("m", "b"): 4}) == (
+        {"t0.c0": 3, "t1.c1": 2}, {"t0": 4}, {"t1": 4})
+    # Per core in binding order, shared cores summed.
+    cores, _, _ = check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0", "c": "t1.c1"}, [],
+                                    {"a": 1, "b": 2, "c": 3}, {})
+    assert list(cores.items()) == [("t1.c1", 5), ("t0.c0", 1)]
 
 
 def test_check_feasibility_core_overload():
@@ -230,8 +236,10 @@ def test_check_feasibility_link_overload_is_per_link():
     a = make_inst(spec)
     b = Inst(("m2", "a"), "t1", "t0", ("1,0->0,0",))
     # opposite directions never collide
-    assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
-                             {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3}) is None
+    _, tx, rx = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
+                                  {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3})
+    assert list(tx.items()) == [("t0", 3), ("t1", 3)]   # transfer order
+    assert list(rx.items()) == [("t1", 3), ("t0", 3)]
 
 
 # ------------------------------------------------------------------ placement
@@ -255,11 +263,19 @@ def test_place_groups_by_core_and_hosting_tile():
 # ----------------------------------------------------------------- refinement
 
 
-def refined(spec, **kw):
+CS, CR, TR = IsolationScheme
+
+
+def refined(spec, a=CS, b=CS):
+    """Refinement of task a on t0.c0 and b on t1.c1, each core under the
+    scheme given for its task."""
+    bindings = {"a": "t0.c0", "b": "t1.c1"}
     insts = [make_inst(spec)]
+    task_weights, message_weights = {"a": 2, "b": 1}, {("m", "b"): 1}
+    loads = check_feasibility(spec, bindings, insts, task_weights, message_weights)
     return refine_tuples(
-        spec, place(spec, {"a": "t0.c0", "b": "t1.c1"}, insts), insts,
-        {"a": 2, "b": 1}, {("m", "b"): 1}, **kw,
+        spec, place(spec, bindings, insts), insts, task_weights, message_weights,
+        {"t0.c0": a, "t1.c1": b}, loads,
     )
 
 
@@ -268,6 +284,7 @@ def test_refine_defaults_keep_full_capacity():
     ts = refined(spec)
     assert ts.bus_capacity == {"t0": 4, "t1": 4}
     assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
+    assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
     assert ts.bus == {"t0": ArbitrationTuple(100, 1, 420), "t1": ArbitrationTuple(100, 1, 420)}
     core = extended_core_policy(spec.architecture.tile("t0"))
     assert ts.core["a"] == ArbitrationTuple(
@@ -280,38 +297,42 @@ def test_refine_defaults_keep_full_capacity():
 
 def test_refine_exclusive_core_shrinks_cycle():
     spec = make_spec()
-    ts = refined(spec, exclusive_cores={"t0.c0"})
+    ts = refined(spec, a=CR)
     core = extended_core_policy(spec.architecture.tile("t0"))
     assert ts.core_capacity["t0.c0"] == 2
     assert ts.core["a"].period == 2 * (core.slot_len + core.arb_delay)
     assert ts.core["a"].wait_time() == 2 * core.arb_delay  # only the handoffs
     assert ts.core_capacity["t1.c1"] == 5   # untouched elsewhere
+    assert (ts.bus_capacity, ts.tx_capacity) == ({"t0": 4, "t1": 4}, {"t0": 4})
 
 
 def test_refine_reserved_tile_drops_idle_bus_slots():
     spec = make_spec()
-    ts = refined(spec, reserved_tiles={"t0"})
+    ts = refined(spec, a=TR)
     # One of two cores hosts nothing: one master slot leaves the cycle.
     assert ts.bus_capacity["t0"] == 3
     assert ts.bus["t0"].period == 3 * 105
     # TX cycle shrinks to allocated traffic; slots follow the shorter bus.
+    assert ts.tx_capacity["t0"] == 1
     assert ts.tx[("m", "b")] == ArbitrationTuple(315, 1, 315)
     # Destination tile is untouched.
     assert ts.bus_capacity["t1"] == 4
+    assert ts.rx_capacity["t1"] == 4
     assert ts.rx[("m", "b")].period == 4 * 420
 
 
 def test_refine_never_shrinks_links():
     spec = make_spec()
-    ts = refined(spec, reserved_tiles={"t0", "t1"}, exclusive_cores={"t0.c0"})
+    ts = refined(spec, a=TR, b=TR)
     assert ts.route[("m", "b")] == ArbitrationTuple(10, 1, 40)
 
 
 def test_refine_ignores_reductions_without_work_conservation():
     spec = make_spec(work_conserving=False)
-    ts = refined(spec, reserved_tiles={"t0", "t1"}, exclusive_cores={"t0.c0"})
+    ts = refined(spec, a=TR, b=TR)
     assert ts.bus_capacity == {"t0": 4, "t1": 4}
-    assert ts.core_capacity["t0.c0"] == 5
+    assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
+    assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
     assert ts.tx[("m", "b")].period == 4 * 420
     assert ts.rx[("m", "b")].period == 4 * 420
 
@@ -319,7 +340,7 @@ def test_refine_ignores_reductions_without_work_conservation():
 def test_refine_reduction_tightens_every_wait():
     spec = make_spec()
     base = refined(spec)
-    tight = refined(spec, reserved_tiles={"t0"}, exclusive_cores={"t0.c0"})
+    tight = refined(spec, a=TR)
     assert tight.core["a"].wait_time() <= base.core["a"].wait_time()
     assert tight.bus["t0"].wait_time() <= base.bus["t0"].wait_time()
     assert tight.tx[("m", "b")].wait_time() <= base.tx[("m", "b")].wait_time()

@@ -133,7 +133,7 @@ def test_makespan_single_task():
 def test_makespan_parallel_chains():
     app = graph("abcd", [("m1", "a", "b"), ("m2", "c", "d")])
     tasks = {"a": 100, "b": 200, "c": 250, "d": 250}
-    msgs = {"m1": 30, "m2": 25}
+    msgs = {("m1", "b"): 30, ("m2", "d"): 25}
     assert makespan(app, tasks, msgs) == 525
     chain = graph("ab", [("m1", "a", "b")])
     assert makespan(chain, {"a": 100, "b": 200}, msgs) == 330
@@ -146,11 +146,6 @@ def test_makespan_join_chain():
     msgs = {("m1", "t2"): 12}                # m0 is tile-local: absent
     assert makespan(app, tasks, msgs) == max(290 + 105, 75 + 12 + 105)
     assert makespan(app, tasks, msgs) == 395
-
-
-def test_makespan_prefers_per_consumer_entries():
-    app = graph("ab", [("m", "a", "b")])
-    assert makespan(app, {"a": 1, "b": 1}, {("m", "b"): 10, "m": 99}) == 12
 
 
 def test_throughput_is_reciprocal_of_slowest_stage():
@@ -170,23 +165,21 @@ def test_empty_composition_errors():
 
 def chain_total(path, tasks, msgs) -> int:
     """One enumerated chain summed by the lookup rule: a message costs its
-    (message, next task) entry, else its message-id entry, else 0."""
+    (message, next task) entry, else 0."""
     total = 0
     for i, node in enumerate(path):
         if node in tasks:
             total += tasks[node]
-        elif (node, path[i + 1]) in msgs:
-            total += msgs[(node, path[i + 1])]
         else:
-            total += msgs.get(node, 0)
+            total += msgs.get((node, path[i + 1]), 0)
     return total
 
 
 @st.composite
 def timed_dags(draw):
     """A DAG of up to 8 tasks, declared out of topological order, with
-    response times and a traversal map mixing per-consumer entries,
-    message-id entries and absent (local) ones."""
+    response times and a traversal map mixing per-consumer entries and
+    absent (local) ones."""
     n = draw(st.integers(1, 8))
     names = draw(st.permutations([f"t{i}" for i in range(n)]))
     cost = st.integers(0, 1_000)
@@ -197,8 +190,6 @@ def timed_dags(draw):
                                   max_size=3, unique=True))
         mid = f"m{k}"
         messages.append((mid, names[i], *consumers))
-        if draw(st.booleans()):
-            msgs[mid] = draw(cost)
         for c in consumers:
             if draw(st.booleans()):
                 msgs[(mid, c)] = draw(cost)
@@ -220,7 +211,7 @@ def test_long_chain_builds_and_composes():
     wires = [(f"m{i}", a, b) for i, (a, b) in enumerate(zip(ids, ids[1:]))]
     app = graph(ids, wires)
     assert app.topo_order == tuple(ids)
-    msgs = {mid: 1 for mid, _, _ in wires}
+    msgs = {(mid, b): 1 for mid, _, b in wires}
     assert makespan(app, dict.fromkeys(ids, 2), msgs) == 2 * 5_000 + 4_999
 
 

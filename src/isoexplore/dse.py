@@ -102,7 +102,7 @@ class ParetoArchive:
         self.entries: list[MappingResult] = []
 
     def add(self, mapping: MappingResult) -> bool:
-        if not mapping.feasible or mapping.objectives is None:
+        if mapping.objectives is None:          # infeasible
             return False
         v = mapping.objectives
         for e in self.entries:
@@ -189,16 +189,7 @@ def _crowding(vectors: list[Vector], front: list[int]) -> dict[int, float]:
 class _Individual:
     genotype: Genotype
     mapping: MappingResult
-    rank: int = 0
-    crowding: float = 0.0
-    digest: str = field(init=False)
-
-    def __post_init__(self):
-        self.digest = self.mapping.digest
-
-    @property
-    def sort_key(self):
-        return (self.rank, -self.crowding, self.digest)
+    sort_key: tuple = ()        # (rank, -crowding, digest), set by `_rank_population`
 
 
 def _rank_population(pop: list[_Individual]) -> None:
@@ -210,12 +201,10 @@ def _rank_population(pop: list[_Individual]) -> None:
         crowd = _crowding(vectors, front)
         for local in front:
             ind = pop[feasible[local]]
-            ind.rank = rank
-            ind.crowding = crowd[local]
+            ind.sort_key = (rank, -crowd[local], ind.mapping.digest)
     tail_rank = len(fronts)
     for i in infeasible:
-        pop[i].rank = tail_rank
-        pop[i].crowding = 0.0
+        pop[i].sort_key = (tail_rank, 0.0, pop[i].mapping.digest)
 
 
 def _select(pop: list[_Individual], size: int) -> list[_Individual]:
@@ -342,9 +331,12 @@ class ComparisonResult:
     modes: tuple[ExplorationMode, ...]
     repetitions: int
     epsilon: dict[str, list[float]]          # mode value -> eps per repetition
-    mean_epsilon: dict[str, float]
     fronts: dict[tuple[str, int], list[Vector]]
     references: dict[int, list[Vector]]
+
+    @property
+    def mean_epsilon(self) -> dict[str, float]:
+        return {m: sum(v) / len(v) for m, v in self.epsilon.items()}
 
 
 def compare_approaches(
@@ -382,12 +374,10 @@ def compare_approaches(
             epsilon[mode.value].append(
                 epsilon_dominance(rep_fronts[mode.value], reference)
             )
-    mean = {m: sum(v) / len(v) for m, v in epsilon.items()}
     return ComparisonResult(
         modes=modes,
         repetitions=repetitions,
         epsilon=epsilon,
-        mean_epsilon=mean,
         fronts=fronts,
         references=references,
     )

@@ -27,7 +27,7 @@ from typing import Sequence
 from . import scheduling, timing
 from .errors import Infeasible, MissingCoefficient, ValidationError
 from .model import Message, NocConfig, ProblemSpec
-from .scheduling import BudgetAssignment, InstanceKey, IsolationScheme, Placement, TupleSet
+from .scheduling import InstanceKey, IsolationScheme, Placement, TupleSet
 
 
 class ExplorationMode(Enum):
@@ -89,7 +89,9 @@ class MappingResult:
     """One decoded mapping. Two decodes of the same phenotype (the same
     mode, the same bindings in the same order, the same effective flags)
     return the same object while it is alive: read results, never change
-    them."""
+    them. A result is feasible when it has no `reason`; then every
+    weight is read from its tuple: a task's from `tuples.core`, a
+    transfer's from `tuples.route`."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
@@ -98,9 +100,7 @@ class MappingResult:
     schemes: dict[str, IsolationScheme]     # per hosting core
     instances: tuple[RoutedInstance, ...]
     placement: Placement
-    feasible: bool
     reason: str | None = None
-    budget: BudgetAssignment | None = None
     tuples: TupleSet | None = None
     task_wcrt: dict[str, int] = field(default_factory=dict)
     task_parts: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
@@ -126,6 +126,10 @@ class MappingResult:
             self._digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
         return self._digest
 
+    @property
+    def feasible(self) -> bool:
+        return self.reason is None
+
     def to_doc(self) -> dict:
         doc: dict = {
             "feasible": self.feasible,
@@ -142,15 +146,14 @@ class MappingResult:
             },
             "schemes": {c: s.short for c, s in sorted(self.schemes.items())},
         }
-        if not self.feasible:
+        if self.reason is not None:
             doc["reason"] = self.reason
             return doc
-        assert self.budget is not None and self.tuples is not None
         key = lambda k: f"{k[0]}->{k[1]}"
         bus, tiles = self.tuples.bus, self.placement.tiles
         doc["weights"] = {
-            "tasks": dict(self.budget.task_weights),
-            "transfers": {key(k): w for k, w in self.budget.message_weights.items()},
+            "tasks": {t: self.tuples.core[t].weight for t in self.task_wcrt},
+            "transfers": {key(k): v.weight for k, v in self.tuples.route.items()},
         }
         doc["routes"] = {key(i.key): list(i.links) for i in self.instances}
         doc["tuples"] = {
@@ -348,11 +351,9 @@ def _build(
         c for c in hosting if c in flagged_cores and tile_of[c] not in reserved_tiles)
     results = tables.get(_RESULTS)
     if results is None:
-        results = tables[_RESULTS] = {}
+        results = tables[_RESULTS] = weakref.WeakValueDictionary()
     key = (mode, reserved_cores, reserved_tiles, *bindings, *bindings.values())
-    # A weak reference can be cleared before its callback removes it.
-    ref = results.get(key)
-    result = None if ref is None else ref()
+    result = results.get(key)
     if result is not None:
         return result
 
@@ -366,16 +367,6 @@ def _build(
             schemes[core_id] = IsolationScheme.CORE_RESERVATION
         else:
             schemes[core_id] = IsolationScheme.CORE_SHARING
-    result = MappingResult(
-        mode=mode,
-        bindings=bindings,
-        reserved_cores=reserved_cores,
-        reserved_tiles=reserved_tiles,
-        schemes=schemes,
-        instances=instances,
-        placement=placement,
-        feasible=False,
-    )
     eff_md = effective_mem_demand(app, bindings, tile_of)
     task_weights: dict[str, int] = {}
     message_weights: dict[InstanceKey, int] = {}
@@ -414,16 +405,15 @@ def _build(
         loads = scheduling.check_feasibility(
             spec, bindings, instances, task_weights, message_weights)
     except Infeasible as exc:
-        result.reason = str(exc)
+        result = MappingResult(mode, bindings, reserved_cores, reserved_tiles, schemes,
+                               instances, placement, reason=str(exc))
     else:
-        result.feasible = True
-        result.budget = BudgetAssignment(task_weights, message_weights)
-        tuples = result.tuples = scheduling.refine_tuples(
+        tuples = scheduling.refine_tuples(
             spec, placement, instances, task_weights, message_weights, schemes, loads)
 
         # Each bound term is kept in the spec's tables, keyed by its arguments.
         bus, core_tuple = tuples.bus, tuples.core
-        task_parts, task_wcrt = result.task_parts, result.task_wcrt
+        task_parts, task_wcrt = {}, {}
         for task_id, tile_id, wcet, md, st in task_args:
             parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
                           timing.wcrt)
@@ -431,7 +421,7 @@ def _build(
             task_wcrt[task_id] = sum(parts)
 
         tx, route, rx = tuples.tx, tuples.route, tuples.rx
-        transfer_parts, transfer_wctt = result.transfer_parts, result.transfer_wctt
+        transfer_parts, transfer_wctt = {}, {}
         for k, src, dst, md, src_st, flits, hops, dst_st in transfer_args:
             parts = (
                 _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
@@ -442,18 +432,20 @@ def _build(
             transfer_parts[k] = parts
             transfer_wctt[k] = sum(parts)
 
-        result.makespan = timing.makespan(app, task_wcrt, transfer_wctt)
-        result.throughput = timing.throughput(task_wcrt, transfer_wctt)
+        makespan = timing.makespan(app, task_wcrt, transfer_wctt)
+        throughput = timing.throughput(task_wcrt, transfer_wctt)
 
         usage = resource_usage(placement, schemes, loads[0])
-        result.objectives = (
-            result.makespan,
-            usage,
-            energy(spec, bindings, instances, usage),
+        result = MappingResult(
+            mode, bindings, reserved_cores, reserved_tiles, schemes, instances, placement,
+            tuples=tuples, task_wcrt=task_wcrt, task_parts=task_parts,
+            transfer_parts=transfer_parts, transfer_wctt=transfer_wctt,
+            makespan=makespan, throughput=throughput,
+            objectives=(makespan, usage, energy(spec, bindings, instances, usage)),
         )
     # Kept only once whole: a decode that raises leaves no entry, and the
     # entry goes as soon as the result dies.
-    results[key] = weakref.ref(result, lambda _, k=key: results.pop(k, None))
+    results[key] = result
     return result
 
 

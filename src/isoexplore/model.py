@@ -430,10 +430,10 @@ class ProblemSpec:
           ("d_noc", flits, hops, router delay, route tuple) and
           ("d_rx", memory demand, service time, bus tuple, rx tuple)
               -> `timing.tx_latency`, `noc_latency` and `rx_latency`
-          ("results",) -> a dict from (mode, reserved cores, reserved
-              tiles, task ids..., core ids...), in binding order, to a weak
-              reference to that phenotype's `mapping.MappingResult`. An
-              entry is removed when its result dies.
+          ("results",) -> a `weakref.WeakValueDictionary` from (mode,
+              reserved cores, reserved tiles, task ids..., core ids...), in
+              binding order, to that phenotype's `mapping.MappingResult`.
+              An entry is removed when its result dies.
         """
         return {}
 
@@ -526,52 +526,42 @@ def _parse_application(obj: Any) -> ApplicationGraph:
             )
         )
 
-    messages = []
+    fields = []         # each message's, built once its consumers are known
     for i, raw in enumerate(_req_list(obj, "messages", "application") if "messages" in obj else []):
         path = f"application.messages[{i}]"
-        messages.append(
-            Message(
-                id=str(_req(raw, "id", path)),
-                src=str(_req(raw, "src", path)),
-                dst=str(_req(raw, "dst", path)),
-                period=_ns_from_us(_req(raw, "period_us", path), f"{path}.period_us"),
-                payload_bytes=_int(_req(raw, "payload_bytes", path), f"{path}.payload_bytes"),
-                mem_demand=_int(_req(raw, "mem_demand", path), f"{path}.mem_demand"),
-            )
-        )
+        fields.append({
+            "id": str(_req(raw, "id", path)),
+            "src": str(_req(raw, "src", path)),
+            "dst": str(_req(raw, "dst", path)),
+            "period": _ns_from_us(_req(raw, "period_us", path), f"{path}.period_us"),
+            "payload_bytes": _int(_req(raw, "payload_bytes", path), f"{path}.payload_bytes"),
+            "mem_demand": _int(_req(raw, "mem_demand", path), f"{path}.mem_demand"),
+        })
 
     # Optional explicit edge list: must agree with src/dst; message->task
     # edges beyond dst add consumers.
-    if isinstance(obj, dict) and "edges" in obj:
-        by_id = {m.id: m for m in messages}
+    extras: dict[str, list[str]] = {f["id"]: [] for f in fields}
+    if "edges" in obj:
+        by_id = {f["id"]: f for f in fields}
         task_ids = {t.id for t in tasks}
-        extras: dict[str, list[str]] = {m.id: [] for m in messages}
         for i, raw in enumerate(_req_list(obj, "edges", "application")):
             path = f"application.edges[{i}]"
             src = str(_req(raw, "src", path))
             dst = str(_req(raw, "dst", path))
             if src in task_ids and dst in by_id:
-                if by_id[dst].src != src:
+                if by_id[dst]["src"] != src:
                     raise ValidationError(
                         f"{path}: producer edge {src}->{dst} contradicts "
-                        f"message src {by_id[dst].src!r}"
+                        f"message src {by_id[dst]['src']!r}"
                     )
             elif src in by_id and dst in task_ids:
-                m = by_id[src]
-                if dst != m.dst and dst not in extras[src]:
+                if dst != by_id[src]["dst"] and dst not in extras[src]:
                     extras[src].append(dst)
             else:
                 raise ValidationError(
                     f"{path}: edge {src!r}->{dst!r} must link a task and a message"
                 )
-        messages = [
-            Message(
-                id=m.id, src=m.src, dst=m.dst, period=m.period,
-                payload_bytes=m.payload_bytes, mem_demand=m.mem_demand,
-                extra_consumers=tuple(extras[m.id]),
-            )
-            for m in messages
-        ]
+    messages = [Message(**f, extra_consumers=tuple(extras[f["id"]])) for f in fields]
 
     return ApplicationGraph(tasks=tuple(tasks), messages=tuple(messages))
 
@@ -671,11 +661,11 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
 
 
 def parse_json(text: str) -> Any:
-    """Decode JSON text; malformed or too deeply nested text raises
-    SpecSyntaxError."""
+    """Decode JSON text; malformed or too deeply nested text, or an integer
+    literal longer than the interpreter converts, raises SpecSyntaxError."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:     # JSONDecodeError is a ValueError
         raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
 
 

@@ -51,9 +51,10 @@ def extended_core_policy(tile: Tile) -> ArbitrationPolicy:
     return replace(p, arb_delay=p.arb_delay + tile.max_service_time)
 
 
-def bus_master_tuple(tile: Tile, effective_capacity: int | None = None) -> ArbitrationTuple:
-    """Arbitration tuple of one bus master (core, TX or RX) on a tile's bus."""
-    return make_tuple(extended_bus_policy(tile), tile.bus_master_weight, effective_capacity)
+def bus_master_tuple(tile: Tile) -> ArbitrationTuple:
+    """Arbitration tuple of one bus master (core, TX or RX) on a tile's bus
+    at full capacity."""
+    return make_tuple(extended_bus_policy(tile), tile.bus_master_weight)
 
 
 def _task_demand(wcet: int, mem_demand: int, tile: Tile) -> int:
@@ -122,12 +123,6 @@ def min_message_weight(
             f"no transfer weight within capacity {capacity} meets deadline {deadline}"
         )
     return w
-
-
-@dataclass
-class BudgetAssignment:
-    task_weights: dict[str, int]
-    message_weights: dict[InstanceKey, int]
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from random import Random
 from typing import Callable
@@ -88,13 +88,7 @@ class TrialConfig:
             raise DomainError("jobs must be >= 1")
 
     def replay_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "phantom_load": self.phantom_load,
-            "jitter": self.jitter,
-            "pattern": self.pattern,
-            "jobs": self.jobs,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "max_events"}
 
 
 @dataclass
@@ -108,10 +102,9 @@ class TrialResult:
 @dataclass
 class SweepResult:
     trials: int
-    samples: dict = field(default_factory=dict)        # id -> observations
-    worst: dict = field(default_factory=dict)          # id -> max observed
-    bounds: dict = field(default_factory=dict)         # id -> checked bound
-    margins: dict = field(default_factory=dict)        # id -> bound - worst
+    samples: dict       # id -> observations
+    worst: dict         # id -> max observed
+    bounds: dict        # id -> checked bound
 
     def rows(self) -> list[dict]:
         out = []
@@ -124,7 +117,7 @@ class SweepResult:
                     "id": name,
                     "bound_ns": self.bounds[key],
                     "worst_ns": self.worst[key],
-                    "margin_ns": self.margins[key],
+                    "margin_ns": self.bounds[key] - self.worst[key],
                     "samples": self.samples[key],
                 }
             )
@@ -439,7 +432,7 @@ def _draw_offsets(rng: Random, pattern: str, wcet: int, md: int, tau: int) -> tu
 
 class _Sim:
     def __init__(self, spec: ProblemSpec, mapping: MappingResult, cfg: TrialConfig):
-        if not mapping.feasible or mapping.tuples is None:
+        if not mapping.feasible:
             raise ValueError("simulation needs a feasible, fully budgeted mapping")
         _check_platform(spec)
         self.spec = spec
@@ -486,8 +479,6 @@ class _Sim:
         arch, mp = self.arch, self.mapping
         tuples = mp.tuples
         tasks_on_core = mp.placement.tasks_on_core
-        weights = mp.budget.task_weights
-        msg_weights = mp.budget.message_weights
         for inst in mp.instances:
             # its owners at the TX adapter, on each link and at the RX adapter
             self.routes[inst.key] = (
@@ -513,7 +504,7 @@ class _Sim:
                 adapters.append(unit)
                 cap = self._sized(caps[tile.id], f"{tile.id} {'tx' if side == 0 else 'rx'}")
                 flows = [self.routes[i.key][side] for i in traffic
-                         for _ in range(msg_weights[i.key])]
+                         for _ in range(tuples.route[i.key].weight)]
                 self._arbiter(self._fill(flows, cap), tuples.bus[tile.id].period,
                               pol_u.arb_delay, pol_u.work_conserving, unit.grant,
                               grant_phantoms=True)
@@ -534,7 +525,7 @@ class _Sim:
                     for t in tasks_on_core[core.id]:
                         jobs = _Owner()
                         self.masters[t] = (jobs, words)
-                        own += [jobs] * weights[t]
+                        own += [jobs] * tuples.core[t].weight
                     pol = core.policy
                     self._arbiter(self._fill(own, cap), pol.slot_len, pol.arb_delay,
                                   pol.work_conserving, self._core_grant)
@@ -558,7 +549,7 @@ class _Sim:
         flows_on_link: dict[str, list[_Owner]] = {}
         for inst in mp.instances:
             for link, owner in zip(inst.links, self.routes[inst.key][1]):
-                flows_on_link.setdefault(link, []).extend([owner] * msg_weights[inst.key])
+                flows_on_link.setdefault(link, []).extend([owner] * tuples.route[inst.key].weight)
         for flows in flows_on_link.values():
             self._arbiter(self._fill(flows, lp.capacity), self.tau, 0,
                           lp.work_conserving, self._link_grant)
@@ -748,16 +739,8 @@ def adversarial_sweep(
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    bounds: dict = {}
-    bounds.update(mapping.task_wcrt)
-    bounds.update(mapping.transfer_wctt)
-    if bound_overrides:
-        bounds.update(bound_overrides)
-    sweep = SweepResult(trials=trials)
-    for key, bound in bounds.items():
-        sweep.bounds[key] = bound
-        sweep.worst[key] = 0
-        sweep.samples[key] = 0
+    bounds = {**mapping.task_wcrt, **mapping.transfer_wctt, **(bound_overrides or {})}
+    sweep = SweepResult(trials, dict.fromkeys(bounds, 0), dict.fromkeys(bounds, 0), bounds)
 
     rng = Random(seed)
     for i in range(trials):
@@ -786,6 +769,4 @@ def adversarial_sweep(
                     replay={"trial": i, "id": name, "observed": obs,
                             "bound": sweep.bounds[key], **cfg.replay_doc()},
                 )
-    for key in sweep.bounds:
-        sweep.margins[key] = sweep.bounds[key] - sweep.worst[key]
     return sweep

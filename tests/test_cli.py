@@ -484,6 +484,21 @@ def test_invalid_spec_exits_2(tmp_path, capsys, edit, hint):
 
 
 @pytest.mark.parametrize("role", ["spec", "mapping"])
+def test_huge_integer_literal_exits_2(spec_path, mapping_path, tmp_path, capsys, role):
+    # 5,000 digits: past the interpreter's limit on integer string conversion
+    huge = tmp_path / "huge.json"
+    if role == "spec":
+        doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 3)))
+        doc["application"]["tasks"][0]["mem_demand"] = "HUGE"
+        huge.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000))
+    else:
+        huge.write_text('{"bindings": {"t0": %s}}' % ("9" * 5000))
+    paths = {"spec": spec_path, "mapping": mapping_path, role: huge}
+    assert main(["analyze", "--spec", str(paths["spec"]),
+                 "--mapping", str(paths["mapping"])]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+@pytest.mark.parametrize("role", ["spec", "mapping"])
 def test_non_utf8_document_exits_2(spec_path, mapping_path, tmp_path, capsys, role):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00garbage")

@@ -60,8 +60,8 @@ def test_compare_fronts_and_epsilons_are_pinned():
     assert {m: [repr(e) for e in v] for m, v in res.epsilon.items()} == COMPARE_EPSILON
 
 
-def to_doc_corpus():
-    """Mapping documents in every mode, feasible or not: random genotypes on
+def mapping_corpus():
+    """Mappings in every mode, feasible or not: random genotypes on
     automotive 2x2 (TX and RX overloads), consumer 4x4 (feasible) and the
     tight spec (failed weight searches, core overloads), some also bound
     explicitly in reverse task order; then round-robin bindings, in reverse
@@ -74,10 +74,10 @@ def to_doc_corpus():
         rng = Random(3)
         for i in range(68):
             res = decode(spec, random_genotype(spec, rng), modes[i % len(modes)])
-            yield res.to_doc()
+            yield res
             if i % 8 == 0:
                 yield from_bindings(spec, dict(reversed(res.bindings.items())),
-                                    res.reserved_cores, res.reserved_tiles).to_doc()
+                                    res.reserved_cores, res.reserved_tiles)
     doc = json.loads(auto)
     for tile_type in doc["architecture"]["tile_types"]:
         tile_type["core_policy"]["capacity"] = 4
@@ -85,13 +85,22 @@ def to_doc_corpus():
     tasks = [t.id for t in spec.application.tasks][::-1]
     cores = [c.id for c in spec.architecture.cores]
     for hosts in (cores[:2], cores[:3], cores[::-5], cores[1::7]):
-        yield from_bindings(
-            spec, {t: hosts[k % len(hosts)] for k, t in enumerate(tasks)}).to_doc()
+        yield from_bindings(spec, {t: hosts[k % len(hosts)] for k, t in enumerate(tasks)})
 
 
 def test_to_doc_corpus_is_pinned():
     # json.dumps without sort_keys pins the order of every document map too.
     digest = hashlib.sha1()
-    for doc in to_doc_corpus():
-        digest.update(json.dumps(doc).encode() + b"\n")
+    for res in mapping_corpus():
+        digest.update(json.dumps(res.to_doc()).encode() + b"\n")
     assert digest.hexdigest() == TO_DOC_SHA1
+
+
+def test_feasible_is_the_absence_of_a_reason():
+    seen = set()
+    for res in mapping_corpus():
+        assert res.feasible == (res.reason is None)
+        doc = res.to_doc()
+        assert doc["feasible"] == res.feasible and ("reason" in doc) != res.feasible
+        seen.add(res.feasible)
+    assert seen == {True, False}

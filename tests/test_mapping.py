@@ -70,8 +70,9 @@ def test_effective_mem_demand_folds_local_messages(two_tile_spec):
 def test_shared_mapping_timing_golden(two_tile_shared):
     res = two_tile_shared
     assert res.feasible
-    assert res.budget.task_weights == {"t0": 3, "t1": 1, "t2": 2}
-    assert res.budget.message_weights == {("m1", "t2"): 1}
+    # each weight is read from its tuple
+    assert {t: v.weight for t, v in res.tuples.core.items()} == {"t0": 3, "t1": 1, "t2": 2}
+    assert {k: v.weight for k, v in res.tuples.route.items()} == {("m1", "t2"): 1}
     assert res.task_wcrt == {"t0": 38_000, "t1": 38_500, "t2": 45_500}
     assert res.task_parts["t0"] == (3_000, 1_400, 12_600, 21_000)
     assert res.transfer_wctt == {("m1", "t2"): 128_240}
@@ -246,8 +247,7 @@ def test_energy_requires_every_coefficient(two_tile_spec):
         spec = parse_spec(json.dumps(broken))
         with pytest.raises(MissingCoefficient) as raised:
             from_bindings(spec, SHARED)
-        # The traceback keeps the unfinished result alive, but a decode
-        # that raises leaves no entry, so the next decode raises too.
+        # A decode that raises leaves no entry, so the next decode raises too.
         assert spec.tables[("results",)] == {}
         with pytest.raises(MissingCoefficient):
             from_bindings(spec, SHARED)
@@ -483,7 +483,7 @@ def test_live_results_map_lives_only_as_long_as_its_results():
     keys = [(r.mode, r.reserved_cores, r.reserved_tiles, *r.bindings, *r.bindings.values())
             for r in results]
     assert len(live) == len(set(keys))
-    assert all(live[k]() is r for k, r in zip(keys, results))
+    assert all(live[k] is r for k, r in zip(keys, results))
     gc.disable()            # reference counting alone empties the map
     try:
         del results
@@ -531,21 +531,24 @@ def test_a_repeated_phenotype_returns_its_live_result():
 
 
 def test_dead_references_are_misses():
-    # A weak reference can be cleared before its callback removes it; a
-    # decode that finds one builds afresh and keeps the newer entry.
+    # While the map is being iterated, the entry of a result that dies
+    # stays in it until the iteration ends. A decode that finds such an
+    # entry builds afresh, and the newer entry outlives the iteration.
     text = bundled_text("specs", "join_two_tile.json")
     spec = parse_spec(text)
     expected = json.dumps(from_bindings(parse_spec(text), SHARED).to_doc())
-    dead = weakref.ref(type("Gone", (), {})())
-    assert dead() is None
     first = from_bindings(spec, SHARED)
     live = spec.tables[("results",)]
     key = (first.mode, first.reserved_cores, first.reserved_tiles,
            *SHARED, *SHARED.values())
-    assert live[key]() is first
-    live[key] = dead
-    second = from_bindings(spec, SHARED)
-    assert second is not first and live[key]() is second
+    assert live[key] is first
+    gone = weakref.ref(first)
+    refs = live.itervaluerefs()
+    assert next(refs)() is first        # the iteration has begun
     del first
-    assert live[key]() is second
+    assert gone() is None and key in live.data      # dead, but still there
+    second = from_bindings(spec, SHARED)
+    assert live[key] is second
+    refs.close()                        # the iteration ends
+    assert live[key] is second and len(live) == 1
     assert json.dumps(second.to_doc()) == expected

@@ -21,6 +21,7 @@ from isoexplore.model import (
     emit_spec,
     end_to_end_paths,
     load_spec,
+    parse_json,
     parse_spec,
 )
 
@@ -168,6 +169,16 @@ def test_rejects_invalid_json():
         parse_spec("[1, 2]")
     with pytest.raises(SpecSyntaxError, match="not valid JSON"):
         parse_spec("[" * 200_000)                    # nested past the recursion limit
+
+
+def test_rejects_integer_literal_past_the_conversion_limit():
+    doc = json.loads(emit_spec(generate_spec("networking", (2, 2), 3)))
+    doc["application"]["tasks"][0]["mem_demand"] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', "9" * 5000)
+    with pytest.raises(SpecSyntaxError, match="not valid JSON"):
+        parse_spec(text)
+    with pytest.raises(SpecSyntaxError, match="not valid JSON"):
+        parse_json('{"bindings": {"t0": %s}}' % ("9" * 5000))
 
 
 def test_rejects_missing_fields():

@@ -47,10 +47,6 @@ class ArbitrationTuple(NamedTuple):
     weight: int
     period: int
 
-    def wait_time(self) -> int:
-        """Worst-case service gap: period minus the reserved budget."""
-        return self.period - self.weight * self.slot_len
-
 
 def reduce_capacity(policy: ArbitrationPolicy, allocated_weight: int) -> int:
     """Effective capacity once only `allocated_weight` slots are in use.

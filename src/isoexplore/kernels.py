@@ -92,8 +92,7 @@ def min_task_weight(
     """
 
     def meets(w: int) -> bool:
-        budget = w * core_slot
-        return demand + ceil_div(demand, budget) * (core_period - budget) <= deadline
+        return demand + core_stall(demand, core_slot, w, core_period) <= deadline
 
     return _least_weight(meets, min(core_period // core_slot, capacity), capacity)
 

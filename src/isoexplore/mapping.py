@@ -20,9 +20,10 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from random import Random
+from typing import AbstractSet, Sequence
 from typing import Mapping as TMapping
-from typing import Sequence
 
 from . import scheduling, timing
 from .errors import Infeasible, MissingCoefficient, ValidationError
@@ -82,6 +83,7 @@ class RoutedInstance:
     links: tuple[str, ...]
     hops: int
     key: InstanceKey                # (message id, consumer)
+    flits: int                      # of the message's payload
 
 
 @dataclass
@@ -232,6 +234,7 @@ def route_instances(
     out: list[RoutedInstance] = []
     for m in spec.application.messages:
         src = tile_of[bindings[m.src]]
+        flits = arch.noc.flits_for(m.payload_bytes)
         for consumer in m.consumers:
             dst = tile_of[bindings[consumer]]
             if dst == src:
@@ -241,7 +244,7 @@ def route_instances(
                 links = xy_route(arch.tile(src).pos, arch.tile(dst).pos)
                 route = tables[(src, dst)] = (
                     links, len(links) + arch.noc.route_hop_offset)
-            out.append(RoutedInstance(m, src, dst, *route, (m.id, consumer)))
+            out.append(RoutedInstance(m, src, dst, *route, (m.id, consumer), flits))
     return tuple(out)
 
 
@@ -294,8 +297,7 @@ def energy(
         per_hop = _coeff(cfg, "e_link") + _coeff(cfg, "e_router")
         per_word = _coeff(cfg, "e_bus_src") + _coeff(cfg, "e_bus_dst")
         for inst in instances:
-            flits = arch.noc.flits_for(inst.message.payload_bytes)
-            total += flits * inst.hops * per_hop
+            total += inst.flits * inst.hops * per_hop
             total += inst.message.mem_demand * per_word
     if not math.isfinite(total):
         raise ValidationError(
@@ -330,8 +332,8 @@ _RESULTS = ("results",)     # the key of the live-result map in `spec.tables`
 def _build(
     spec: ProblemSpec,
     bindings: dict[str, str],
-    flagged_cores: set[str],
-    flagged_tiles: set[str],
+    flagged_cores: AbstractSet[str],
+    flagged_tiles: AbstractSet[str],
     mode: ExplorationMode,
 ) -> MappingResult:
     """The live result of the phenotype, or a new one.
@@ -381,7 +383,8 @@ def _build(
             md = eff_md[t.id]
             wkey = (t.id, core.core_type, tile.id, md)
             w = tables.get(wkey) or _search(
-                tables, wkey, scheduling.min_task_weight, t.period, wcet, md, tile)
+                tables, wkey, scheduling.min_task_weight, t.period, wcet, md, tile,
+                scheduling.tile_record(tables, tile))
             if isinstance(w, str):
                 raise Infeasible(w)
             task_weights[t.id] = w
@@ -389,18 +392,18 @@ def _build(
         for inst in instances:
             m = inst.message
             src, dst = arch.tile(inst.src_tile), arch.tile(inst.dst_tile)
-            flits = noc.flits_for(m.payload_bytes)
             wkey = (m.id, src.id, dst.id)
             w = tables.get(wkey) or _search(
                 tables, wkey, scheduling.min_message_weight,
-                m.period, m.mem_demand, flits, inst.hops, src, dst, noc,
+                m.period, m.mem_demand, inst.flits, inst.hops, src, dst, noc,
+                scheduling.tile_record(tables, src), scheduling.tile_record(tables, dst),
             )
             if isinstance(w, str):
                 raise Infeasible(w)
             message_weights[inst.key] = w
             transfer_args.append((
                 inst.key, src.id, dst.id, m.mem_demand, src.memory.service_time,
-                flits, inst.hops, dst.memory.service_time,
+                inst.flits, inst.hops, dst.memory.service_time,
             ))
         loads = scheduling.check_feasibility(
             spec, bindings, instances, task_weights, message_weights)
@@ -464,23 +467,17 @@ def decode(
         t.id: spec.edges_of[t.id][genotype.bindings[i] % len(spec.edges_of[t.id])]
         for i, t in enumerate(tasks)
     }
+    # Both id maps are in architecture order, as the genotype's flags are.
+    arch = spec.architecture
     if mode is ExplorationMode.FIXED_CS:
-        cores, tiles = set(), set()
+        cores = tiles = frozenset()
     elif mode is ExplorationMode.FIXED_CR:
-        cores, tiles = {c.id for c in spec.architecture.cores}, set()
+        cores, tiles = arch._cores_by_id.keys(), frozenset()
     elif mode is ExplorationMode.FIXED_TR:
-        cores, tiles = set(), {t.id for t in spec.architecture.tiles}
+        cores, tiles = frozenset(), arch._tiles_by_id.keys()
     else:
-        cores = {
-            c.id
-            for c, bit in zip(spec.architecture.cores, genotype.core_flags)
-            if bit
-        }
-        tiles = {
-            t.id
-            for t, bit in zip(spec.architecture.tiles, genotype.tile_flags)
-            if bit
-        }
+        cores = set(compress(arch._cores_by_id, genotype.core_flags))
+        tiles = set(compress(arch._tiles_by_id, genotype.tile_flags))
     return _build(spec, bindings, cores, tiles, mode)
 
 

@@ -417,7 +417,8 @@ class ProblemSpec:
           (source tile id, destination tile id)
               -> XY route between the tiles: (link ids, hops)
           tile id
-              -> the tile's extended (bus, core) policies
+              -> the tile's record (`scheduling.tile_record`): its extended
+              bus and core policies and its full-capacity bus-master tuple
           (kind, tile id, weight, effective capacity), kind "bus" or "core"
               -> arbitration tuple of a bus master or a task on its core
           (kind, tile id, weight, effective capacity, bus capacity), kind

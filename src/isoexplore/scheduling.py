@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Mapping, Sequence
 
-from . import kernels
+from . import kernels, timing
 from .arbitration import ArbitrationPolicy, ArbitrationTuple, make_tuple, reduce_capacity
 from .errors import Infeasible
 from .model import Core, NocConfig, ProblemSpec, Tile
@@ -57,22 +57,27 @@ def bus_master_tuple(tile: Tile) -> ArbitrationTuple:
     return make_tuple(extended_bus_policy(tile), tile.bus_master_weight)
 
 
-def _task_demand(wcet: int, mem_demand: int, tile: Tile) -> int:
-    """Weight-independent response-time part on a tile at full capacity."""
-    bus = bus_master_tuple(tile)
-    slots = kernels.task_bus_slots(wcet, mem_demand, tile.memory.service_time, bus.slot_len)
-    stall = kernels.bus_stall(slots, bus.slot_len, bus.weight, bus.period)
-    return wcet + mem_demand * tile.memory.service_time + stall
+def tile_record(tables: dict, tile: Tile) -> tuple:
+    """The tile's extended bus and core policies and full-capacity bus-master
+    tuple, built on first use and kept in a spec's `tables` by tile id."""
+    record = tables.get(tile.id)
+    if record is None:
+        record = tables[tile.id] = (
+            extended_bus_policy(tile), extended_core_policy(tile), bus_master_tuple(tile))
+    return record
 
 
-def min_task_weight(deadline: int, wcet: int, mem_demand: int, tile: Tile) -> int:
-    """Least core weight meeting the deadline at unreduced capacity."""
-    policy = extended_core_policy(tile)
+def min_task_weight(
+    deadline: int, wcet: int, mem_demand: int, tile: Tile, record: tuple
+) -> int:
+    """Least core weight meeting the deadline at unreduced capacity, given
+    the tile's `tile_record`. Only the last term of `timing.wcrt` varies
+    with the weight."""
+    _, policy, bus = record
+    st = tile.memory.service_time
+    demand = wcet + mem_demand * st + timing.bus_interference(wcet, mem_demand, st, bus)
     period = policy.capacity * (policy.slot_len + policy.arb_delay)
-    w = kernels.min_task_weight(
-        deadline, _task_demand(wcet, mem_demand, tile),
-        policy.slot_len, period, policy.capacity,
-    )
+    w = kernels.min_task_weight(deadline, demand, policy.slot_len, period, policy.capacity)
     if w == 0:
         raise Infeasible(
             f"no core weight within capacity {policy.capacity} meets deadline {deadline}"
@@ -80,9 +85,9 @@ def min_task_weight(deadline: int, wcet: int, mem_demand: int, tile: Tile) -> in
     return w
 
 
-def _adapter_side(tile: Tile, mem_demand: int, policy: ArbitrationPolicy):
+def _adapter_side(tile: Tile, record: tuple, mem_demand: int, policy: ArbitrationPolicy):
     """Fixed latency part, bus rounds, unit slot/period for one adapter side."""
-    bus = bus_master_tuple(tile)
+    bus = record[2]
     st = tile.memory.service_time
     slots = kernels.msg_bus_slots(mem_demand, bus.slot_len, st)
     rounds = kernels.ceil_div(slots, bus.weight)
@@ -100,13 +105,16 @@ def min_message_weight(
     src_tile: Tile,
     dst_tile: Tile,
     noc: NocConfig,
+    src_record: tuple,
+    dst_record: tuple,
 ) -> int:
-    """Least shared TX/route/RX weight meeting the deadline, unreduced."""
+    """Least shared TX/route/RX weight meeting the deadline, unreduced,
+    given the tiles' `tile_record`s."""
     tx_fixed, tx_rounds, tx_slot, tx_period = _adapter_side(
-        src_tile, mem_demand, src_tile.tx_policy
+        src_tile, src_record, mem_demand, src_tile.tx_policy
     )
     rx_fixed, rx_rounds, rx_slot, rx_period = _adapter_side(
-        dst_tile, mem_demand, dst_tile.rx_policy
+        dst_tile, dst_record, mem_demand, dst_tile.rx_policy
     )
     lp = noc.link_policy
     link_period = lp.capacity * (lp.slot_len + lp.arb_delay)
@@ -152,12 +160,12 @@ def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -
         in_of.setdefault(inst.dst_tile, []).append(inst)
     # Every result keeps its placement, so it holds tuples, which are
     # smaller than the lists they are built from.
+    hosting_tiles = {spec.architecture.tile_id_of[c] for c in tasks_on_core}
     tiles = []
     for tile in spec.architecture.tiles:
-        hosting = tuple(c for c in tile.cores if c.id in tasks_on_core)
-        if hosting:
-            tiles.append((tile, hosting, tuple(out_of.get(tile.id, ())),
-                          tuple(in_of.get(tile.id, ()))))
+        if tile.id in hosting_tiles:
+            tiles.append((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
+                          tuple(out_of.get(tile.id, ())), tuple(in_of.get(tile.id, ()))))
     return Placement({c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
                      tuple(tiles))
 
@@ -246,10 +254,7 @@ def refine_tuples(
 
     for tile, hosting, outbound, inbound in placement.tiles:
         tid = tile.id
-        policies = tables.get(tid)
-        if policies is None:
-            policies = tables[tid] = (extended_bus_policy(tile), extended_core_policy(tile))
-        bus_policy, core_policy = policies
+        bus_policy, core_policy, _ = tile_record(tables, tile)
         # Every hosting core of a reserved tile is tile-reserved.
         reserved = schemes[hosting[0].id] is IsolationScheme.TILE_RESERVATION
         bmw = tile.bus_master_weight

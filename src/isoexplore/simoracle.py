@@ -483,7 +483,7 @@ class _Sim:
             # its owners at the TX adapter, on each link and at the RX adapter
             self.routes[inst.key] = (
                 _Owner(), tuple(_Owner() for _ in inst.links), _Owner(),
-                inst.message.mem_demand, arch.noc.flits_for(inst.message.payload_bytes),
+                inst.message.mem_demand, inst.flits,
             )
 
         for tile, _, outbound, inbound in mp.placement.tiles:

@@ -26,6 +26,7 @@ from isoexplore.scheduling import (
     extended_core_policy,
     min_message_weight,
     min_task_weight,
+    tile_record,
 )
 from isoexplore.simoracle import adversarial_sweep
 from isoexplore.timing import wctt
@@ -183,6 +184,7 @@ def test_criterion_4_assigned_weights_are_minimal():
     arch = make_architecture((2, 2))
     noc = arch.noc
     rng = Random(40)
+    tables = {}
     task_checks = msg_checks = 0
 
     def task_response(w, wcet, md, tile):
@@ -200,7 +202,7 @@ def test_criterion_4_assigned_weights_are_minimal():
         cap = tile.cores[0].policy.capacity
         lo, hi = task_response(cap, wcet, md, tile), task_response(1, wcet, md, tile)
         deadline = rng.randrange(lo, hi + 1)
-        w = min_task_weight(deadline, wcet, md, tile)
+        w = min_task_weight(deadline, wcet, md, tile, tile_record(tables, tile))
         assert task_response(w, wcet, md, tile) <= deadline
         if w > 1:
             assert task_response(w - 1, wcet, md, tile) > deadline
@@ -229,7 +231,8 @@ def test_criterion_4_assigned_weights_are_minimal():
         lo = traversal(cap, md, flits, hops, src, dst)
         hi = traversal(1, md, flits, hops, src, dst)
         deadline = rng.randrange(lo, hi + 1)
-        w = min_message_weight(deadline, md, flits, hops, src, dst, noc)
+        w = min_message_weight(deadline, md, flits, hops, src, dst, noc,
+                               tile_record(tables, src), tile_record(tables, dst))
         assert traversal(w, md, flits, hops, src, dst) <= deadline
         if w > 1:
             assert traversal(w - 1, md, flits, hops, src, dst) > deadline

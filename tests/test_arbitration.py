@@ -34,13 +34,6 @@ def test_reduction_is_identity_without_work_conservation():
     assert make_tuple(tdm, 3, reduce_capacity(tdm, 3)).period == 6_000
 
 
-def test_wait_time():
-    assert make_tuple(FIVE_WAY, 3).wait_time() == 6_000 - 3_000
-    assert make_tuple(FIVE_WAY, 3, 3).wait_time() == 3_600 - 3_000
-    # Sole owner of a zero-delay resource never waits.
-    assert make_tuple(ArbitrationPolicy(10, 0, 4, True), 4, 4).wait_time() == 0
-
-
 def test_slot_override_for_adapters():
     na = ArbitrationPolicy(None, 0, 4, True)
     t = make_tuple(na, 2, slot_len=1_000)
@@ -87,5 +80,6 @@ def test_period_formula_property(slot, delay, capacity, data):
     assert full.period == capacity * (slot + delay)
     assert reduced.period == weight * (slot + delay)
     assert reduced.period <= full.period
-    assert reduced.wait_time() == weight * delay
-    assert full.wait_time() >= reduced.wait_time() >= 0
+    reduced_wait = reduced.period - weight * slot
+    assert reduced_wait == weight * delay
+    assert full.period - weight * slot >= reduced_wait >= 0

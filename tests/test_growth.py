@@ -1,20 +1,24 @@
 """Parsing a spec and decoding one mapping grow linearly in the application
 graph: the bytecodes they execute per task and message edge stay within a
 fixed factor from n to 4n tasks, on a chain, a fan-out and a complete DAG.
-Counts, not times, so the test holds on any host; counts differ between
-Python versions, so it asserts ratios only."""
+Decoding one binding costs about the same however many idle cores and
+tiles the platform has. Counts, not times, so the tests hold on any host;
+counts differ between Python versions, so they assert ratios only."""
 
 import json
+import weakref
 
 import pytest
 
-from isoexplore.mapping import Genotype, decode
+from isoexplore import generate_spec
+from isoexplore.mapping import ExplorationMode, Genotype, decode
 from isoexplore.model import parse_spec
 
 from conftest import count_opcodes
 
 N = 20
 GROWTH = 1.5        # allowed rise of the count per task and edge, n to 4n
+PLATFORM_GROWTH = 1.15  # allowed rise of one binding's decode, 2x2 to 8x8 mesh
 POLICY = {"arb_delay_ns": 0, "work_conserving": True}
 TILES = [(f"t{x}_{y}", [x, y]) for y in range(2) for x in range(2)]
 CORES = [f"{tid}.c{k}" for k in range(4) for tid, _ in TILES]    # tiles in turn
@@ -83,3 +87,23 @@ def test_parse_and_decode_grow_linearly(shape):
         assert result.instances          # transfers are routed and budgeted
         per_unit.append(count / (n + len(edges)))
     assert per_unit[1] <= GROWTH * per_unit[0], per_unit
+
+
+@pytest.mark.parametrize("mode", [ExplorationMode.ISOLATION_AWARE, ExplorationMode.FIXED_CR])
+def test_decode_work_follows_the_binding_not_the_platform(mode):
+    """One binding onto the first two tiles, with every flag set, decodes
+    on a 2x2 and on an 8x8 mesh (16 and 256 cores). The tables are warm and
+    the warm-up result is dead, so both counted decodes build a result."""
+    counts = []
+    for mesh in ((2, 2), (8, 8)):
+        spec = generate_spec("consumer", mesh, 0)
+        arch = spec.architecture
+        genotype = Genotype(tuple(i % 8 for i in range(len(spec.application.tasks))),
+                            (1,) * len(arch.cores), (1,) * len(arch.tiles))
+        warm = weakref.ref(decode(spec, genotype, mode))
+        assert warm() is None
+        count, result = count_opcodes(decode, spec, genotype, mode)
+        assert result.feasible, result.reason
+        assert [tile.id for tile, *_ in result.placement.tiles] == ["t0_0", "t1_0"]
+        counts.append(count)
+    assert counts[1] <= PLATFORM_GROWTH * counts[0], counts

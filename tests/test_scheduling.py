@@ -2,14 +2,17 @@
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
+from random import Random
 
 import pytest
 
-from isoexplore import kernels
+from isoexplore import generate_spec, kernels, scheduling
 from isoexplore.arbitration import ArbitrationTuple, make_tuple
 from isoexplore.errors import Infeasible
-from isoexplore.model import parse_spec
+from isoexplore.mapping import decode, random_genotype
+from isoexplore.model import emit_spec, parse_spec
 from isoexplore.scheduling import (
     IsolationScheme,
     bus_master_tuple,
@@ -20,9 +23,10 @@ from isoexplore.scheduling import (
     min_task_weight,
     place,
     refine_tuples,
+    tile_record,
 )
 
-from conftest import call_budget
+from conftest import call_budget, tight_spec_text
 
 
 def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5,
@@ -118,6 +122,30 @@ def test_bus_master_tuple_uses_extended_delay():
         ArbitrationTuple(100, 1, 2 * 105)
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(lambda: emit_spec(generate_spec("consumer", (4, 4), 0)), id="consumer"),
+    pytest.param(tight_spec_text, id="tight"),
+])
+def test_tile_record_is_built_once_per_tile(monkeypatch, text):
+    """However many decodes run, and whether their searches succeed or fail,
+    each tile's record is built once per spec; `bus_master_tuple` extends
+    the bus policy a second time."""
+    calls = Counter()
+    for name in ("extended_bus_policy", "extended_core_policy", "bus_master_tuple"):
+        def counted(*args, _name=name, _inner=getattr(scheduling, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(scheduling, name, counted)
+    spec = parse_spec(text())
+    rng = Random(0)
+    reasons = {decode(spec, random_genotype(spec, rng)).reason for _ in range(300)}
+    assert None in reasons
+    tiles = len(spec.architecture.tiles)
+    assert calls["extended_core_policy"] <= tiles
+    assert calls["bus_master_tuple"] <= tiles
+    assert calls["extended_bus_policy"] <= 2 * tiles
+
+
 # ------------------------------------------------------------ minimal weights
 
 
@@ -136,7 +164,7 @@ def test_min_task_weight_is_minimal():
     tile = spec.architecture.tile("t0")
     wcet, md = 3_000_000, 8
     deadline = 9_500_000
-    w = min_task_weight(deadline, wcet, md, tile)
+    w = min_task_weight(deadline, wcet, md, tile, tile_record({}, tile))
     assert task_response_at(w, wcet, md, tile) <= deadline
     if w > 1:
         assert task_response_at(w - 1, wcet, md, tile) > deadline
@@ -145,7 +173,7 @@ def test_min_task_weight_is_minimal():
 def test_min_task_weight_infeasible():
     tile = make_spec().architecture.tile("t0")
     with pytest.raises(Infeasible):
-        min_task_weight(1_000, 3_000_000, 8, tile)
+        min_task_weight(1_000, 3_000_000, 8, tile, tile_record({}, tile))
 
 
 def test_min_task_weight_infeasible_at_huge_capacity(monkeypatch):
@@ -154,7 +182,7 @@ def test_min_task_weight_infeasible_at_huge_capacity(monkeypatch):
     call_budget(monkeypatch, "ceil_div")
     tile = make_spec(core_capacity=10**12).architecture.tile("t0")
     with pytest.raises(Infeasible, match="no core weight within capacity 1000000000000"):
-        min_task_weight(1_000, 3_000_000, 8, tile)
+        min_task_weight(1_000, 3_000_000, 8, tile, tile_record({}, tile))
 
 
 def test_min_message_weight_is_minimal():
@@ -163,7 +191,8 @@ def test_min_message_weight_is_minimal():
     noc = spec.architecture.noc
     flits = noc.flits_for(32)
     deadline = 40_000
-    w = min_message_weight(deadline, 6, flits, 2, src, dst, noc)
+    w = min_message_weight(deadline, 6, flits, 2, src, dst, noc,
+                           tile_record({}, src), tile_record({}, dst))
 
     def traversal(weight):
         from isoexplore.timing import wctt
@@ -182,7 +211,8 @@ def test_min_message_weight_infeasible():
     spec = make_spec()
     src, dst = spec.architecture.tile("t0"), spec.architecture.tile("t1")
     with pytest.raises(Infeasible):
-        min_message_weight(10, 6, 3, 2, src, dst, spec.architecture.noc)
+        min_message_weight(10, 6, 3, 2, src, dst, spec.architecture.noc,
+                           tile_record({}, src), tile_record({}, dst))
 
 
 # ---------------------------------------------------------------- feasibility
@@ -303,7 +333,8 @@ def test_refine_exclusive_core_shrinks_cycle():
     core = extended_core_policy(spec.architecture.tile("t0"))
     assert ts.core_capacity["t0.c0"] == 2
     assert ts.core["a"].period == 2 * (core.slot_len + core.arb_delay)
-    assert ts.core["a"].wait_time() == 2 * core.arb_delay  # only the handoffs
+    a = ts.core["a"]
+    assert a.period - a.weight * a.slot_len == 2 * core.arb_delay  # only the handoffs
     assert ts.core_capacity["t1.c1"] == 5   # untouched elsewhere
     assert (ts.bus_capacity, ts.tx_capacity) == ({"t0": 4, "t1": 4}, {"t0": 4})
 
@@ -343,6 +374,6 @@ def test_refine_reduction_tightens_every_wait():
     spec = make_spec()
     base = refined(spec)
     tight = refined(spec, a=TR)
-    assert tight.core["a"].wait_time() <= base.core["a"].wait_time()
-    assert tight.bus["t0"].wait_time() <= base.bus["t0"].wait_time()
-    assert tight.tx[("m", "b")].wait_time() <= base.tx[("m", "b")].wait_time()
+    for kind, key in (("core", "a"), ("bus", "t0"), ("tx", ("m", "b"))):
+        t, b = getattr(tight, kind)[key], getattr(base, kind)[key]
+        assert t.period - t.weight * t.slot_len <= b.period - b.weight * b.slot_len

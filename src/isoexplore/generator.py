@@ -17,7 +17,6 @@ from .model import (
     ApplicationGraph,
     ArchitectureGraph,
     Core,
-    MappingEdge,
     Memory,
     Message,
     NocConfig,
@@ -167,9 +166,7 @@ def generate_spec(
             )
         )
 
-    edges = tuple(
-        MappingEdge(task=t.id, core=c.id) for t in task_objs for c in arch.cores
-    )
+    edges = tuple((t.id, c.id) for t in task_objs for c in arch.cores)
     return ProblemSpec(
         application=ApplicationGraph(tuple(task_objs), tuple(msgs)),
         architecture=arch,

@@ -349,6 +349,11 @@ class ArchitectureGraph:
         return {c.id: t.id for t in self.tiles for c in t.cores}
 
     @cached_property
+    def tile_index(self) -> dict[str, int]:
+        """Tile id -> position of the tile in `tiles`."""
+        return {t.id: i for i, t in enumerate(self.tiles)}
+
+    @cached_property
     def _tiles_by_id(self) -> dict[str, Tile]:
         return {t.id: t for t in self.tiles}
 
@@ -360,49 +365,36 @@ class ArchitectureGraph:
 # ------------------------------------------------------------------- problem
 
 
-@dataclass(frozen=True)
-class MappingEdge:
-    task: str
-    core: str
-
-
 @dataclass
 class ProblemSpec:
     application: ApplicationGraph
     architecture: ArchitectureGraph
-    mapping_edges: tuple[MappingEdge, ...]
+    mapping_edges: tuple[tuple[str, str], ...]     # (task id, core id) pairs
+    # Allowed target cores per task, in declaration order; built by the checks.
+    edges_of: dict[str, tuple[str, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
-        arch = self.architecture
-        app = self.application
-        seen: set[tuple[str, str]] = set()
-        for edge in self.mapping_edges:
-            if edge.task not in app._tasks_by_id:
-                raise ValidationError(f"mapping edge: unknown task {edge.task!r}")
-            if edge.core not in arch._cores_by_id:
-                raise ValidationError(f"mapping edge: unknown core {edge.core!r}")
-            if (edge.task, edge.core) in seen:
+        tasks = self.application._tasks_by_id
+        cores = self.architecture._cores_by_id
+        allowed: dict[str, dict[str, None]] = {t: {} for t in tasks}
+        for task, core in self.mapping_edges:
+            if task not in tasks:
+                raise ValidationError(f"mapping edge: unknown task {task!r}")
+            if core not in cores:
+                raise ValidationError(f"mapping edge: unknown core {core!r}")
+            if core in allowed[task]:
+                raise ValidationError(f"duplicate mapping edge {task!r} -> {core!r}")
+            allowed[task][core] = None
+            ctype = cores[core].core_type
+            if ctype not in tasks[task].wcet:
                 raise ValidationError(
-                    f"duplicate mapping edge {edge.task!r} -> {edge.core!r}"
+                    f"task {task}: no wcet for core type {ctype!r} "
+                    f"(mapping edge to {core})"
                 )
-            seen.add((edge.task, edge.core))
-            ctype = arch.core(edge.core).core_type
-            if ctype not in app.task(edge.task).wcet:
-                raise ValidationError(
-                    f"task {edge.task}: no wcet for core type {ctype!r} "
-                    f"(mapping edge to {edge.core})"
-                )
-        for t in app.tasks:
-            if not self.edges_of[t.id]:
-                raise ValidationError(f"task {t.id}: has no mapping edges")
-
-    @cached_property
-    def edges_of(self) -> dict[str, tuple[str, ...]]:
-        """Allowed target cores per task, in declaration order."""
-        out: dict[str, list[str]] = {t.id: [] for t in self.application.tasks}
-        for e in self.mapping_edges:
-            out[e.task].append(e.core)
-        return {k: tuple(v) for k, v in out.items()}
+        self.edges_of = {t: tuple(c) for t, c in allowed.items()}
+        for t, c in self.edges_of.items():
+            if not c:
+                raise ValidationError(f"task {t}: has no mapping edges")
 
     @cached_property
     def tables(self) -> dict:
@@ -442,11 +434,18 @@ class ProblemSpec:
 # ------------------------------------------------------------ parse and emit
 
 
-def _ctx(path: str) -> str:
+def _join(parts: tuple) -> str:
+    """A path or field name, passed in parts such as ("application.tasks[",
+    3, "]") and joined only into the text of an error."""
+    return "".join(map(str, parts))
+
+
+def _ctx(parts: tuple) -> str:
+    path = _join(parts)
     return f" at {path}" if path else ""
 
 
-def _req(obj: Any, key: str, path: str) -> Any:
+def _req(obj: Any, key: str, *path: Any) -> Any:
     if not isinstance(obj, dict):
         raise SpecSyntaxError(f"expected an object{_ctx(path)}")
     if key not in obj:
@@ -454,27 +453,28 @@ def _req(obj: Any, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _req_list(obj: Any, key: str, path: str) -> list:
-    val = _req(obj, key, path)
+def _req_list(obj: Any, key: str, *path: Any) -> list:
+    val = _req(obj, key, *path)
     if not isinstance(val, list):
         raise SpecSyntaxError(f"field {key!r} must be an array{_ctx(path)}")
     return val
 
 
-def _int(val: Any, what: str) -> int:
+def _int(val: Any, *what: Any) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
-        raise SpecSyntaxError(f"{what} must be an integer, got {val!r}")
+        raise SpecSyntaxError(f"{_join(what)} must be an integer, got {val!r}")
     return val
 
 
-def _ns_from_us(val: Any, what: str) -> int:
+def _ns_from_us(val: Any, *what: Any) -> int:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SpecSyntaxError(f"{what} must be a number, got {val!r}")
+        raise SpecSyntaxError(f"{_join(what)} must be a number, got {val!r}")
     ns = val * NS_PER_US
     if isinstance(ns, float) and not math.isfinite(ns):
-        raise SpecSyntaxError(f"{what} must be a finite number, got {val!r}")
+        raise SpecSyntaxError(f"{_join(what)} must be a finite number, got {val!r}")
     if abs(ns - round(ns)) > 1e-6:
-        raise SpecSyntaxError(f"{what} must be a whole number of nanoseconds, got {val!r}")
+        raise SpecSyntaxError(
+            f"{_join(what)} must be a whole number of nanoseconds, got {val!r}")
     return round(ns)
 
 
@@ -511,32 +511,32 @@ def _policy(
 def _parse_application(obj: Any) -> ApplicationGraph:
     tasks = []
     for i, raw in enumerate(_req_list(obj, "tasks", "application")):
-        path = f"application.tasks[{i}]"
-        wcet_raw = _req(raw, "wcet_us", path)
+        at = ("application.tasks[", i, "]")
+        wcet_raw = _req(raw, "wcet_us", *at)
         if not isinstance(wcet_raw, dict):
-            raise SpecSyntaxError(f"{path}.wcet_us must be a map of core type to time")
+            raise SpecSyntaxError(f"{_join(at)}.wcet_us must be a map of core type to time")
         tasks.append(
             Task(
-                id=str(_req(raw, "id", path)),
-                period=_ns_from_us(_req(raw, "period_us", path), f"{path}.period_us"),
+                id=str(_req(raw, "id", *at)),
+                period=_ns_from_us(_req(raw, "period_us", *at), *at, ".period_us"),
                 wcet={
-                    str(k): _ns_from_us(v, f"{path}.wcet_us[{k}]")
+                    str(k): _ns_from_us(v, *at, ".wcet_us[", k, "]")
                     for k, v in wcet_raw.items()
                 },
-                mem_demand=_int(_req(raw, "mem_demand", path), f"{path}.mem_demand"),
+                mem_demand=_int(_req(raw, "mem_demand", *at), *at, ".mem_demand"),
             )
         )
 
     fields = []         # each message's, built once its consumers are known
     for i, raw in enumerate(_req_list(obj, "messages", "application") if "messages" in obj else []):
-        path = f"application.messages[{i}]"
+        at = ("application.messages[", i, "]")
         fields.append({
-            "id": str(_req(raw, "id", path)),
-            "src": str(_req(raw, "src", path)),
-            "dst": str(_req(raw, "dst", path)),
-            "period": _ns_from_us(_req(raw, "period_us", path), f"{path}.period_us"),
-            "payload_bytes": _int(_req(raw, "payload_bytes", path), f"{path}.payload_bytes"),
-            "mem_demand": _int(_req(raw, "mem_demand", path), f"{path}.mem_demand"),
+            "id": str(_req(raw, "id", *at)),
+            "src": str(_req(raw, "src", *at)),
+            "dst": str(_req(raw, "dst", *at)),
+            "period": _ns_from_us(_req(raw, "period_us", *at), *at, ".period_us"),
+            "payload_bytes": _int(_req(raw, "payload_bytes", *at), *at, ".payload_bytes"),
+            "mem_demand": _int(_req(raw, "mem_demand", *at), *at, ".mem_demand"),
         })
 
     # Optional explicit edge list: must agree with src/dst; message->task
@@ -546,13 +546,13 @@ def _parse_application(obj: Any) -> ApplicationGraph:
         by_id = {f["id"]: f for f in fields}
         task_ids = {t.id for t in tasks}
         for i, raw in enumerate(_req_list(obj, "edges", "application")):
-            path = f"application.edges[{i}]"
-            src = str(_req(raw, "src", path))
-            dst = str(_req(raw, "dst", path))
+            at = ("application.edges[", i, "]")
+            src = str(_req(raw, "src", *at))
+            dst = str(_req(raw, "dst", *at))
             if src in task_ids and dst in by_id:
                 if by_id[dst]["src"] != src:
                     raise ValidationError(
-                        f"{path}: producer edge {src}->{dst} contradicts "
+                        f"{_join(at)}: producer edge {src}->{dst} contradicts "
                         f"message src {by_id[dst]['src']!r}"
                     )
             elif src in by_id and dst in task_ids:
@@ -560,7 +560,7 @@ def _parse_application(obj: Any) -> ApplicationGraph:
                     extras[src].append(dst)
             else:
                 raise ValidationError(
-                    f"{path}: edge {src!r}->{dst!r} must link a task and a message"
+                    f"{_join(at)}: edge {src!r}->{dst!r} must link a task and a message"
                 )
     messages = [Message(**f, extra_consumers=tuple(extras[f["id"]])) for f in fields]
 
@@ -604,47 +604,53 @@ def _parse_architecture(obj: Any) -> ArchitectureGraph:
         ),
     )
 
+    # The first tile of a type parses the type, around its own position so
+    # that the first fault is reported as before; later tiles share it.
+    parsed_types: dict[str, tuple] = {}
     tiles = []
     for i, raw in enumerate(_req_list(obj, "tiles", "architecture")):
-        path = f"architecture.tiles[{i}]"
-        tid = str(_req(raw, "id", path))
-        type_name = str(_req(raw, "type", path))
+        at = ("architecture.tiles[", i, "]")
+        tid = str(_req(raw, "id", *at))
+        type_name = str(_req(raw, "type", *at))
         if type_name not in types:
-            raise ValidationError(f"{path}: unknown tile type {type_name!r}")
-        pos_raw = _req_list(raw, "pos", path)
+            raise ValidationError(f"{_join(at)}: unknown tile type {type_name!r}")
+        pos_raw = _req_list(raw, "pos", *at)
         if len(pos_raw) != 2:
-            raise SpecSyntaxError(f"{path}.pos must be [x, y]")
-        traw = types[type_name]
-        tpath = f"architecture.tile_types[{type_name}]"
-        core_policy = _policy(
-            _req(traw, "core_policy", tpath), f"{tpath}.core_policy", suffix="_us"
-        )
-        n_cores = _int(_req(traw, "cores", tpath), f"{tpath}.cores")
-        core_type = str(_req(traw, "core_type", tpath))
-        memories = []
-        for j, mraw in enumerate(_req_list(traw, "memories", tpath)):
-            memories.append(
-                Memory(
-                    id=f"{tid}.mem{j}",
-                    service_time=_int(
-                        _req(mraw, "service_time_ns", f"{tpath}.memories[{j}]"),
-                        f"{tpath}.memories[{j}].service_time_ns",
-                    ),
-                )
+            raise SpecSyntaxError(f"{_join(at)}.pos must be [x, y]")
+        parsed = parsed_types.get(type_name)
+        if parsed is None:
+            traw = types[type_name]
+            tpath = f"architecture.tile_types[{type_name}]"
+            core_policy = _policy(
+                _req(traw, "core_policy", tpath), f"{tpath}.core_policy", suffix="_us"
             )
-        na_raw = _req(traw, "na", tpath)
-        pos = (_int(pos_raw[0], f"{path}.pos x"), _int(pos_raw[1], f"{path}.pos y"))
-        bus_policy = _policy(_req(traw, "bus_policy", tpath), f"{tpath}.bus_policy",
-                             suffix="_ns")
-        bmw = _int(traw.get("bus_master_weight", 1), f"{tpath}.bus_master_weight")
-        tx_policy = _policy(_req(na_raw, "tx", f"{tpath}.na"), f"{tpath}.na.tx",
-                            suffix="_ns", slot_required=False)
-        rx_policy = _policy(_req(na_raw, "rx", f"{tpath}.na"), f"{tpath}.na.rx",
-                            suffix="_ns", slot_required=False)
-        # Checked before the cores are built, so a huge count costs nothing.
-        _check_tile_counts(tid, n_cores, len(memories), bmw, bus_policy.capacity)
+            n_cores = _int(_req(traw, "cores", tpath), f"{tpath}.cores")
+            core_type = str(_req(traw, "core_type", tpath))
+            memories = [
+                Memory(f"{tid}.mem{j}", _int(
+                    _req(mraw, "service_time_ns", f"{tpath}.memories[{j}]"),
+                    f"{tpath}.memories[{j}].service_time_ns"))
+                for j, mraw in enumerate(_req_list(traw, "memories", tpath))
+            ]
+            na_raw = _req(traw, "na", tpath)
+        pos = (_int(pos_raw[0], *at, ".pos x"), _int(pos_raw[1], *at, ".pos y"))
+        if parsed is None:
+            bus_policy = _policy(_req(traw, "bus_policy", tpath), f"{tpath}.bus_policy",
+                                 suffix="_ns")
+            bmw = _int(traw.get("bus_master_weight", 1), f"{tpath}.bus_master_weight")
+            tx_policy = _policy(_req(na_raw, "tx", f"{tpath}.na"), f"{tpath}.na.tx",
+                                suffix="_ns", slot_required=False)
+            rx_policy = _policy(_req(na_raw, "rx", f"{tpath}.na"), f"{tpath}.na.rx",
+                                suffix="_ns", slot_required=False)
+            # Checked before the cores are built, so a huge count costs nothing.
+            _check_tile_counts(tid, n_cores, len(memories), bmw, bus_policy.capacity)
+            parsed_types[type_name] = parsed = (
+                core_policy, n_cores, core_type, [m.service_time for m in memories],
+                bus_policy, bmw, tx_policy, rx_policy)
+        core_policy, n_cores, core_type, times, bus_policy, bmw, tx_policy, rx_policy = parsed
+        memories = tuple(Memory(f"{tid}.mem{j}", st) for j, st in enumerate(times))
         cores = tuple(Core(f"{tid}.c{j}", tid, core_type, core_policy) for j in range(n_cores))
-        tiles.append(Tile(tid, type_name, pos, cores, tuple(memories), bus_policy, bmw,
+        tiles.append(Tile(tid, type_name, pos, cores, memories, bus_policy, bmw,
                           tx_policy, rx_policy))
 
     energy = obj.get("energy", {})
@@ -677,13 +683,14 @@ def parse_spec(text: str) -> ProblemSpec:
         raise SpecSyntaxError("document root must be an object")
     app = _parse_application(_req(doc, "application", ""))
     arch = _parse_architecture(_req(doc, "architecture", ""))
-    edges = tuple(
-        MappingEdge(
-            task=str(_req(raw, "task", f"mapping_edges[{i}]")),
-            core=str(_req(raw, "core", f"mapping_edges[{i}]")),
-        )
-        for i, raw in enumerate(_req_list(doc, "mapping_edges", ""))
-    )
+    raw_edges = _req_list(doc, "mapping_edges", "")
+    try:
+        edges = tuple([(str(raw["task"]), str(raw["core"])) for raw in raw_edges])
+    except (TypeError, KeyError):       # not an object, or a field is missing
+        for i, raw in enumerate(raw_edges):
+            _req(raw, "task", "mapping_edges[", i, "]")
+            _req(raw, "core", "mapping_edges[", i, "]")
+        raise
     return ProblemSpec(application=app, architecture=arch, mapping_edges=edges)
 
 
@@ -788,7 +795,7 @@ def emit_spec(spec: ProblemSpec) -> str:
             "energy": dict(arch.energy),
         },
         "mapping_edges": [
-            {"task": e.task, "core": e.core} for e in spec.mapping_edges
+            {"task": task, "core": core} for task, core in spec.mapping_edges
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

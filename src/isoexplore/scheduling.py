@@ -160,12 +160,12 @@ def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -
         in_of.setdefault(inst.dst_tile, []).append(inst)
     # Every result keeps its placement, so it holds tuples, which are
     # smaller than the lists they are built from.
-    hosting_tiles = {spec.architecture.tile_id_of[c] for c in tasks_on_core}
+    arch = spec.architecture
     tiles = []
-    for tile in spec.architecture.tiles:
-        if tile.id in hosting_tiles:
-            tiles.append((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
-                          tuple(out_of.get(tile.id, ())), tuple(in_of.get(tile.id, ()))))
+    for tid in sorted({arch.tile_id_of[c] for c in tasks_on_core}, key=arch.tile_index.get):
+        tile = arch.tile(tid)
+        tiles.append((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
+                      tuple(out_of.get(tid, ())), tuple(in_of.get(tid, ()))))
     return Placement({c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
                      tuple(tiles))
 

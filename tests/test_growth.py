@@ -1,7 +1,7 @@
 """Parsing a spec and decoding one mapping grow linearly in the application
 graph: the bytecodes they execute per task and message edge stay within a
-fixed factor from n to 4n tasks, on a chain, a fan-out and a complete DAG.
-Decoding one binding costs about the same however many idle cores and
+fixed factor from n to 4n tasks, on a chain, a fan-out and a complete DAG,
+and per mapping edge from 176 to 2,816 edges. Decoding one binding costs about the same however many idle cores and
 tiles the platform has. Counts, not times, so the tests hold on any host;
 counts differ between Python versions, so they assert ratios only."""
 
@@ -12,7 +12,7 @@ import pytest
 
 from isoexplore import generate_spec
 from isoexplore.mapping import ExplorationMode, Genotype, decode
-from isoexplore.model import parse_spec
+from isoexplore.model import emit_spec, parse_spec
 
 from conftest import count_opcodes
 
@@ -107,3 +107,18 @@ def test_decode_work_follows_the_binding_not_the_platform(mode):
         assert [tile.id for tile, *_ in result.placement.tiles] == ["t0_0", "t1_0"]
         counts.append(count)
     assert counts[1] <= PLATFORM_GROWTH * counts[0], counts
+
+
+def test_parse_work_per_mapping_edge_does_not_grow():
+    """One application whose every task may run on every core, on a
+    consumer 2x2 and an 8x8 mesh: 16 times the tiles and the mapping edges.
+    A membership test over a tuple or list in the edge loop would show."""
+    per_edge, apps = [], []
+    for mesh in ((2, 2), (8, 8)):
+        spec = generate_spec("consumer", mesh, 0)
+        apps.append(spec.application)
+        count, parsed = count_opcodes(parse_spec, emit_spec(spec))
+        assert parsed.mapping_edges == spec.mapping_edges
+        per_edge.append(count / len(spec.mapping_edges))
+    assert apps[0] == apps[1]
+    assert per_edge[1] <= GROWTH * per_edge[0], per_edge

@@ -1,14 +1,19 @@
 """Document parsing, validation, serialization, and graph queries."""
 
 import copy
+import functools
 import json
+import operator
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isoexplore import model
 from isoexplore.errors import (
     CycleError,
     EmptyGraph,
+    SpecError,
     SpecSyntaxError,
     ValidationError,
 )
@@ -24,6 +29,8 @@ from isoexplore.model import (
     parse_json,
     parse_spec,
 )
+
+from conftest import bundled_text
 
 
 def minimal_doc() -> dict:
@@ -137,7 +144,33 @@ def test_architecture_lookups():
 
 def test_edges_of_preserves_declaration_order():
     spec = parse(minimal_doc())
+    assert spec.mapping_edges == (("a", "t0.c0"), ("a", "t1.c0"), ("b", "t1.c1"))
     assert spec.edges_of == {"a": ("t0.c0", "t1.c0"), "b": ("t1.c1",)}
+
+
+def test_each_tile_type_is_parsed_once(monkeypatch):
+    """Consumer 4x4: 16 tiles of 3 types, each type with a core, bus, TX and
+    RX policy, plus the link policy. Every tile still has its own ids."""
+    text = emit_spec(generate_spec("consumer", (4, 4), 0))
+    calls = []
+    inner = model._policy
+    monkeypatch.setattr(model, "_policy", lambda obj, path, **kw: (
+        calls.append(path), inner(obj, path, **kw))[1])
+    arch = parse_spec(text).architecture
+    assert len(arch.tiles) == 16 and len({t.type_name for t in arch.tiles}) == 3
+    assert len(calls) == 3 * 4 + 1
+    assert len({m.id for t in arch.tiles for m in t.memories}) == 16
+    assert len({c.id for c in arch.cores}) == 64
+
+
+def test_a_tile_type_no_tile_uses_is_checked_only_for_its_name():
+    spare = {"name": "spare", "cores": "many", "core_policy": 5}
+    doc = mutated(lambda d: d["architecture"]["tile_types"].append(spare))
+    assert {t.type_name for t in parse(doc).architecture.tiles} == {"basic"}
+    del spare["name"]
+    with pytest.raises(SpecSyntaxError,
+                       match=r"missing field 'name' at architecture.tile_types\[1\]$"):
+        parse(mutated(lambda d: d["architecture"]["tile_types"].append(spare)))
 
 
 # ------------------------------------------------------------------ emitting
@@ -310,6 +343,70 @@ SYNTAX_CASES = [
 def test_syntax_errors(edit, hint):
     with pytest.raises(SpecSyntaxError, match=hint):
         parse(mutated(edit))
+
+
+@pytest.mark.parametrize("edge, hint", [
+    (5, "expected an object"),
+    ("a", "expected an object"),
+    ([], "expected an object"),
+    (None, "expected an object"),
+    ({"core": "t0.c1"}, "missing field 'task'"),
+    ({"task": "b"}, "missing field 'core'"),
+])
+def test_a_faulty_mapping_edge_is_named_by_its_index(edge, hint):
+    doc = mutated(lambda d: d["mapping_edges"].insert(2, edge))
+    with pytest.raises(SpecSyntaxError, match=rf"^{hint} at mapping_edges\[2\]$"):
+        parse(doc)
+
+
+def test_edge_syntax_faults_come_before_edge_semantic_faults():
+    def edit(doc):
+        doc["mapping_edges"][0]["task"] = "zz"         # unknown task
+        doc["mapping_edges"].append([])
+    with pytest.raises(SpecSyntaxError, match=r"expected an object at mapping_edges\[3\]"):
+        parse(mutated(edit))
+
+
+# A value of each JSON type, by the Python type that `json.loads` gives it.
+JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def paths_in(doc, path=()):
+    """Every key path below `doc`, parents before their children."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield path + (key,)
+        yield from paths_in(val, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_document_parses_or_raises_a_spec_error(data):
+    """1-3 edits of the bundled spec, each dropping a key or replacing a
+    value with one of another JSON type."""
+    doc = json.loads(bundled_text("specs", "join_two_tile.json"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, key = data.draw(st.sampled_from(list(paths_in(doc))))
+        parent = functools.reduce(operator.getitem, head, doc)
+        kinds = [kind for kind in JSON_VALUES if kind is not type(parent[key])]
+        kind = data.draw(st.sampled_from([None, *kinds]))
+        if kind is None:
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES[kind])
+    try:
+        parse_spec(json.dumps(doc))
+    except SpecError:
+        pass
 
 
 def test_non_utf8_spec_file_raises_syntax_error(tmp_path):

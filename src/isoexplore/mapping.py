@@ -10,6 +10,10 @@ A decode runs once per phenotype (mode, bindings in order, and effective
 flags) while a result of it is alive: a repeated phenotype gets the live
 result back. Routes, least weights, arbitration tuples and bound terms are
 looked up in the spec's tables by their arguments.
+
+A decode computes what ranking reads, the reason or the objectives, in one
+walk over the tasks and one over the transfers, by position; the
+dict-shaped views of a `MappingResult` are derived on first read.
 """
 
 from __future__ import annotations
@@ -20,15 +24,21 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import compress
+from operator import attrgetter, getitem, itemgetter, mod
 from random import Random
 from typing import AbstractSet, Sequence
 from typing import Mapping as TMapping
 
 from . import scheduling, timing
 from .errors import Infeasible, MissingCoefficient, ValidationError
-from .model import Message, NocConfig, ProblemSpec
-from .scheduling import InstanceKey, IsolationScheme, Placement, TupleSet
+from .model import ApplicationGraph, Message, ProblemSpec, Task
+from .scheduling import Edge, InstanceKey, IsolationScheme, Placement, TupleSet
+
+_CORE_ID, _TILE_ID, _RANK = attrgetter("core_id"), attrgetter("tile_id"), attrgetter("rank")
+_WCRT_TERMS = ("wcet", "mem_service", "i_bus", "i_core")
+_WCTT_TERMS = ("d_tx", "d_noc", "d_rx")
 
 
 class ExplorationMode(Enum):
@@ -91,23 +101,23 @@ class MappingResult:
     """One decoded mapping. Two decodes of the same phenotype (the same
     mode, the same bindings in the same order, the same effective flags)
     return the same object while it is alive: read results, never change
-    them. A result is feasible when it has no `reason`; then every
-    weight is read from its tuple: a task's from `tuples.core`, a
-    transfer's from `tuples.route`."""
+    them. A result is feasible when it has no `reason`.
+
+    A decode sets the fields: the reason or the objectives, and the
+    per-position arrays that the views below are derived from on first
+    read. A feasible result's weights are read from its tuples: a task's
+    from `tuples.core`, a transfer's from `tuples.route`."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
     reserved_cores: frozenset[str]          # effective (masked) core flags
     reserved_tiles: frozenset[str]          # effective (masked) tile flags
-    schemes: dict[str, IsolationScheme]     # per hosting core
-    instances: tuple[RoutedInstance, ...]
-    placement: Placement
+    spec: ProblemSpec = field(repr=False, compare=False)
+    transfers: tuple[tuple, ...]            # `route_instances`, in routing order
     reason: str | None = None
-    tuples: TupleSet | None = None
-    task_wcrt: dict[str, int] = field(default_factory=dict)
-    task_parts: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
-    transfer_parts: dict[InstanceKey, tuple[int, int, int]] = field(default_factory=dict)
-    transfer_wctt: dict[InstanceKey, int] = field(default_factory=dict)
+    refined: tuple | None = None            # `scheduling.refine_tuples`
+    task_terms: list[tuple[int, int, int, int]] | None = None    # per task
+    transfer_terms: list[tuple[int, int, int]] | None = None     # per transfer
     makespan: int = 0
     throughput: float = 0.0
     objectives: tuple[int, float, float] | None = None  # latency, cores, energy
@@ -117,20 +127,60 @@ class MappingResult:
     def digest(self) -> str:
         """SHA-1 prefix of the bindings and effective flags, computed once."""
         if self._digest is None:
-            payload = json.dumps(
-                {
-                    "bindings": dict(sorted(self.bindings.items())),
-                    "cores": sorted(self.reserved_cores),
-                    "tiles": sorted(self.reserved_tiles),
-                },
-                sort_keys=True,
-            )
+            payload = json.dumps({"bindings": dict(sorted(self.bindings.items())),
+                                  "cores": sorted(self.reserved_cores),
+                                  "tiles": sorted(self.reserved_tiles)}, sort_keys=True)
             self._digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
         return self._digest
 
     @property
     def feasible(self) -> bool:
         return self.reason is None
+
+    @cached_property
+    def schemes(self) -> dict[str, IsolationScheme]:
+        """The isolation scheme of each hosting core, in id order."""
+        tile_of = self.spec.architecture.tile_id_of
+        return {
+            c: IsolationScheme.TILE_RESERVATION if tile_of[c] in self.reserved_tiles
+            else IsolationScheme.CORE_RESERVATION if c in self.reserved_cores
+            else IsolationScheme.CORE_SHARING
+            for c in sorted(set(self.bindings.values()))
+        }
+
+    @cached_property
+    def instances(self) -> tuple[RoutedInstance, ...]:
+        return tuple(RoutedInstance(m, src.tile_id, dst.tile_id, links, hops, key, flits)
+                     for m, key, src, dst, links, hops, flits in self.transfers)
+
+    @cached_property
+    def placement(self) -> Placement:
+        return scheduling.place(self.spec, self.bindings, self.instances)
+
+    @cached_property
+    def tuples(self) -> TupleSet | None:
+        if self.refined is None:
+            return None
+        core, tx, rx, route, bus, caps = self.refined
+        keys = [key for _, key, *_ in self.transfers]
+        return TupleSet(dict(zip(self.spec.application.index, core)), bus,
+                        *(dict(zip(keys, side)) for side in (tx, rx, route)), *caps)
+
+    @cached_property
+    def task_parts(self) -> dict[str, tuple[int, int, int, int]]:
+        return dict(zip(self.spec.application.index, self.task_terms or ()))
+
+    @cached_property
+    def task_wcrt(self) -> dict[str, int]:
+        return dict(zip(self.task_parts, map(sum, self.task_parts.values())))
+
+    @cached_property
+    def transfer_parts(self) -> dict[InstanceKey, tuple[int, int, int]]:
+        return dict(zip(map(itemgetter(1), self.transfers), self.transfer_terms or ()))
+
+    @cached_property
+    def transfer_wctt(self) -> dict[InstanceKey, int]:
+        return dict(zip(self.transfer_parts, map(sum, self.transfer_parts.values())))
 
     def to_doc(self) -> dict:
         doc: dict = {
@@ -152,119 +202,110 @@ class MappingResult:
             doc["reason"] = self.reason
             return doc
         key = lambda k: f"{k[0]}->{k[1]}"
-        bus, tiles = self.tuples.bus, self.placement.tiles
+        ts, tiles, on_core = self.tuples, self.placement.tiles, self.placement.tasks_on_core
+        bus = ts.bus
         doc["weights"] = {
-            "tasks": {t: self.tuples.core[t].weight for t in self.task_wcrt},
-            "transfers": {key(k): v.weight for k, v in self.tuples.route.items()},
+            "tasks": {t: ts.core[t].weight for t in self.task_parts},
+            "transfers": {key(k): v.weight for k, v in ts.route.items()},
         }
         doc["routes"] = {key(i.key): list(i.links) for i in self.instances}
+        # Tiles in architecture order, each with its cores, tasks and transfers.
         doc["tuples"] = {
-            "core": {t: list(v) for t, v in self.tuples.core.items()},
+            "core": {t: list(ts.core[t]) for _, cores, _, _ in tiles
+                     for c in cores for t in on_core[c.id]},
             "core_bus": {c.id: list(bus[t.id]) for t, cores, _, _ in tiles for c in cores},
             "tx_bus": {t.id: list(bus[t.id]) for t, _, out, _ in tiles if out},
             "rx_bus": {t.id: list(bus[t.id]) for t, _, _, inb in tiles if inb},
-            "tx": {key(k): list(v) for k, v in self.tuples.tx.items()},
-            "rx": {key(k): list(v) for k, v in self.tuples.rx.items()},
-            "route": {key(k): list(v) for k, v in self.tuples.route.items()},
+            "tx": {key(i.key): list(ts.tx[i.key]) for _, _, out, _ in tiles for i in out},
+            "rx": {key(i.key): list(ts.rx[i.key]) for _, _, _, inb in tiles for i in inb},
+            "route": {key(k): list(v) for k, v in ts.route.items()},
         }
         doc["timing"] = {
-            "wcrt": {
-                t: {
-                    "wcet": self.task_parts[t][0],
-                    "mem_service": self.task_parts[t][1],
-                    "i_bus": self.task_parts[t][2],
-                    "i_core": self.task_parts[t][3],
-                    "total": v,
-                }
-                for t, v in self.task_wcrt.items()
-            },
-            "wctt": {
-                key(k): {
-                    "d_tx": self.transfer_parts[k][0],
-                    "d_noc": self.transfer_parts[k][1],
-                    "d_rx": self.transfer_parts[k][2],
-                    "total": v,
-                }
-                for k, v in self.transfer_wctt.items()
-            },
+            "wcrt": {t: dict(zip(_WCRT_TERMS, p), total=sum(p))
+                     for t, p in self.task_parts.items()},
+            "wctt": {key(k): dict(zip(_WCTT_TERMS, p), total=sum(p))
+                     for k, p in self.transfer_parts.items()},
             "makespan": self.makespan,
             "throughput": self.throughput,
         }
-        doc["objectives"] = {
-            "latency": self.objectives[0],
-            "resource": self.objectives[1],
-            "energy": self.objectives[2],
-        }
+        doc["objectives"] = dict(zip(("latency", "resource", "energy"), self.objectives))
         return doc
 
 
 def effective_mem_demand(
-    app, bindings: TMapping[str, str], tile_of: TMapping[str, str]
-) -> dict[str, int]:
-    """Task memory demand plus the local-message reads and writes.
+    app: ApplicationGraph, tiles: Sequence[str]
+) -> tuple[list[int], list[tuple[Message, InstanceKey, int, int]]]:
+    """Task memory demand plus the local-message reads and writes, per task
+    position, and the remote message ends.
 
-    `tile_of` maps each core id to its tile id. A message whose consumer
-    sits on the producer's tile is exchanged through the tile memory: the
+    `tiles[i]` is the tile that hosts task i. A message whose consumer sits
+    on the producer's tile is exchanged through the tile memory: the
     consumer re-reads it, and the producer writes it once if at least one
-    consumer is local.
+    consumer is local. Every other consumer is a remote end, listed as
+    (message, (message id, consumer id), producer position, consumer
+    position) in declaration order.
     """
-    eff = {t.id: t.mem_demand for t in app.tasks}
-    for m in app.messages:
-        src_tile = tile_of[bindings[m.src]]
+    eff = list(map(attrgetter("mem_demand"), app.tasks))
+    remote = []
+    for m, src, consumers in app.ends:
+        src_tile, md = tiles[src], m.mem_demand
         local = False
-        for consumer in m.consumers:
-            if tile_of[bindings[consumer]] == src_tile:
+        for c, key in consumers:
+            if tiles[c] == src_tile:
                 local = True
-                eff[consumer] += m.mem_demand
+                eff[c] += md
+            else:
+                remote.append((m, key, src, c))
         if local:
-            eff[m.src] += m.mem_demand
-    return eff
+            eff[src] += md
+    return eff, remote
 
 
 def route_instances(
-    spec: ProblemSpec, bindings: TMapping[str, str]
-) -> tuple[RoutedInstance, ...]:
-    """One routed instance per message and remote consumer, XY-routed.
+    spec: ProblemSpec, edges: Sequence[Edge], remote: Sequence[tuple]
+) -> tuple[tuple, ...]:
+    """One routed transfer per remote end of `effective_mem_demand`, in its
+    order: (message, (message id, consumer id), producer's edge, consumer's
+    edge, links, hops, flits), XY-routed from the producer's tile to the
+    consumer's.
 
     Each tile pair's route is computed once per spec and kept in its tables.
     """
     arch = spec.architecture
-    tile_of = arch.tile_id_of
     tables = spec.tables
-    out: list[RoutedInstance] = []
-    for m in spec.application.messages:
-        src = tile_of[bindings[m.src]]
-        flits = arch.noc.flits_for(m.payload_bytes)
-        for consumer in m.consumers:
-            dst = tile_of[bindings[consumer]]
-            if dst == src:
-                continue
-            route = tables.get((src, dst))
-            if route is None:
-                links = xy_route(arch.tile(src).pos, arch.tile(dst).pos)
-                route = tables[(src, dst)] = (
-                    links, len(links) + arch.noc.route_hop_offset)
-            out.append(RoutedInstance(m, src, dst, *route, (m.id, consumer), flits))
+    out = []
+    for m, key, src, dst in remote:
+        src, dst = edges[src], edges[dst]
+        pair = (src.tile_id, dst.tile_id)
+        route = tables.get(pair)
+        if route is None:
+            links = xy_route(src.tile.pos, dst.tile.pos)
+            route = tables[pair] = (links, len(links) + arch.noc.route_hop_offset)
+        out.append((m, key, src, dst, *route, arch.noc.flits_for(m.payload_bytes)))
     return tuple(out)
 
 
 def resource_usage(
-    placement: Placement,
-    schemes: TMapping[str, IsolationScheme],
+    hosts: Sequence[Edge],
+    reserved: tuple[AbstractSet[str], AbstractSet[str]],
     core_loads: TMapping[str, int],
 ) -> float:
     """Allocated compute, in cores: a reserved tile claims all its cores, a
-    reserved core claims one, a shared core its weight fraction."""
+    reserved core claims one, a shared core its weight fraction. `hosts`
+    holds one edge per hosting core, in architecture order, and `reserved`
+    the reserved cores and tiles, as for `scheduling.refine_tuples`."""
+    reserved_cores, reserved_tiles = reserved
     usage = 0.0
-    for tile, hosting, _, _ in placement.tiles:
-        if schemes[hosting[0].id] is IsolationScheme.TILE_RESERVATION:
-            usage += len(tile.cores)
-            continue
-        for core in hosting:
-            if schemes[core.id] is IsolationScheme.CORE_RESERVATION:
-                usage += 1.0
-            else:
-                usage += core_loads[core.id] / core.policy.capacity
+    claimed = None
+    for e in hosts:
+        if e.tile_id in reserved_tiles:
+            if e.tile_id != claimed:
+                claimed = e.tile_id
+                usage += len(e.tile.cores)
+        elif e.core_id in reserved_cores:
+            usage += 1.0
+        else:
+            usage += core_loads[e.core_id] / e.capacity
     return usage
 
 
@@ -276,29 +317,28 @@ def _coeff(cfg: TMapping, name: str) -> float:
 
 def energy(
     spec: ProblemSpec,
-    bindings: TMapping[str, str],
-    instances: Sequence[RoutedInstance],
+    edges: Sequence[Edge],
+    transfers: Sequence[tuple],
     usage: float,
 ) -> float:
-    """Affine energy surrogate per iteration of each element.
+    """Affine energy surrogate per iteration of each element: the tasks on
+    their `edges`, then the routed `transfers`.
 
     Summed in floats; a total that overflows raises ValidationError, so
     that every objective stays finite."""
-    arch = spec.architecture
-    cfg = arch.energy
+    cfg = spec.architecture.energy
     dyn_map = cfg.get("dynamic_per_core_type", {})
     total = _coeff(cfg, "static_per_core") * usage
-    for t in spec.application.tasks:
-        core = arch.core(bindings[t.id])
-        if core.core_type not in dyn_map:
-            raise MissingCoefficient(f"dynamic_per_core_type[{core.core_type}]")
-        total += float(dyn_map[core.core_type]) * (t.wcet[core.core_type] / 1000.0)
-    if instances:
+    for e in edges:
+        if e.core_type not in dyn_map:
+            raise MissingCoefficient(f"dynamic_per_core_type[{e.core_type}]")
+        total += float(dyn_map[e.core_type]) * (e.wcet / 1000.0)
+    if transfers:
         per_hop = _coeff(cfg, "e_link") + _coeff(cfg, "e_router")
         per_word = _coeff(cfg, "e_bus_src") + _coeff(cfg, "e_bus_dst")
-        for inst in instances:
-            total += inst.flits * inst.hops * per_hop
-            total += inst.message.mem_demand * per_word
+        for m, _, _, _, _, hops, flits in transfers:
+            total += flits * hops * per_hop
+            total += m.mem_demand * per_word
     if not math.isfinite(total):
         raise ValidationError(
             "architecture.energy: coefficients so large that a mapping's energy overflows"
@@ -317,26 +357,49 @@ def _search(tables: dict, key: tuple, search, *args) -> int | str:
     return w
 
 
-def _term(tables: dict, key: tuple, bound):
-    """`bound(*key[1:])`, computed on the first call for `key` and kept in
-    the spec's tables under it."""
-    v = tables.get(key)
-    if v is None:
-        v = tables[key] = bound(*key[1:])
-    return v
-
-
 _RESULTS = ("results",)     # the key of the live-result map in `spec.tables`
+_EDGES = ("edges",)         # the key of the edge records in `spec.tables`
+
+
+def _edge_rows(spec: ProblemSpec) -> list[list[Edge | None]]:
+    """Per task, a slot for the record of each of its mapping edges."""
+    rows = spec.tables.get(_EDGES)
+    if rows is None:
+        rows = spec.tables[_EDGES] = [
+            [None] * len(spec.edges_of[t.id]) for t in spec.application.tasks]
+    return rows
+
+
+def edge_record(spec: ProblemSpec, i: int, j: int) -> Edge:
+    """Task i's j-th mapping edge, built on first use."""
+    row = _edge_rows(spec)[i]
+    if row[j] is None:
+        task = spec.application.tasks[i]
+        row[j] = _edge(spec, task, spec.edges_of[task.id][j])
+    return row[j]
+
+
+def _edge(spec: ProblemSpec, task: Task, core_id: str) -> Edge:
+    """The record of the edge from `task` to the core `core_id`."""
+    arch = spec.architecture
+    core = arch._cores_by_id[core_id]
+    tile = arch._tiles_by_id[core.tile_id]
+    return Edge(core.id, tile.id, core.core_type, task.wcet[core.core_type],
+                tile.memory.service_time, core.policy.capacity,
+                scheduling.tile_record(spec.tables, tile), tile,
+                arch.core_index[core_id])
 
 
 def _build(
     spec: ProblemSpec,
     bindings: dict[str, str],
+    edges: list[Edge],
     flagged_cores: AbstractSet[str],
     flagged_tiles: AbstractSet[str],
     mode: ExplorationMode,
 ) -> MappingResult:
-    """The live result of the phenotype, or a new one.
+    """The live result of the phenotype, or a new one. `edges` holds each
+    task's bound edge, in task order.
 
     The key is the mode and the effective flags, then the task ids and the
     core ids in binding order, which say what `tuple(bindings.items())`
@@ -344,13 +407,12 @@ def _build(
     it and so decides which overloaded core the reason names."""
     arch = spec.architecture
     app = spec.application
-    noc = arch.noc
     tile_of = arch.tile_id_of
     tables = spec.tables
     hosting = set(bindings.values())
-    reserved_tiles = frozenset({tile_of[c] for c in hosting} & flagged_tiles)
+    reserved_tiles = frozenset(set(map(tile_of.__getitem__, hosting)) & flagged_tiles)
     reserved_cores = frozenset(
-        c for c in hosting if c in flagged_cores and tile_of[c] not in reserved_tiles)
+        c for c in hosting & flagged_cores if tile_of[c] not in reserved_tiles)
     results = tables.get(_RESULTS)
     if results is None:
         results = tables[_RESULTS] = weakref.WeakValueDictionary()
@@ -359,93 +421,70 @@ def _build(
     if result is not None:
         return result
 
-    instances = route_instances(spec, bindings)
-    placement = scheduling.place(spec, bindings, instances)
-    schemes: dict[str, IsolationScheme] = {}
-    for core_id in placement.tasks_on_core:         # in id order
-        if tile_of[core_id] in reserved_tiles:
-            schemes[core_id] = IsolationScheme.TILE_RESERVATION
-        elif core_id in reserved_cores:
-            schemes[core_id] = IsolationScheme.CORE_RESERVATION
-        else:
-            schemes[core_id] = IsolationScheme.CORE_SHARING
-    eff_md = effective_mem_demand(app, bindings, tile_of)
-    task_weights: dict[str, int] = {}
-    message_weights: dict[InstanceKey, int] = {}
-    task_args, transfer_args = [], []
+    # One walk over the tasks and one over the transfers, by position; the
+    # views that documents and the simulator read are derived on demand.
+    eff_md, remote = effective_mem_demand(app, list(map(_TILE_ID, edges)))
+    transfers = route_instances(spec, edges, remote)
+    fields = (mode, bindings, reserved_cores, reserved_tiles, spec, transfers)
+    task_weights, transfer_weights = [], []
     # A weight is looked up before the search's arguments are evaluated;
     # no stored weight is 0 and no stored reason is empty.
     try:
-        for t in app.tasks:
-            core = arch.core(bindings[t.id])
-            tile = arch.tile(core.tile_id)
-            wcet = t.wcet[core.core_type]
-            md = eff_md[t.id]
-            wkey = (t.id, core.core_type, tile.id, md)
+        for t, e, md in zip(app.tasks, edges, eff_md):
+            wkey = (t.id, e.core_type, e.tile_id, md)
             w = tables.get(wkey) or _search(
-                tables, wkey, scheduling.min_task_weight, t.period, wcet, md, tile,
-                scheduling.tile_record(tables, tile))
+                tables, wkey, scheduling.min_task_weight, t.period, e.wcet, md, e.tile,
+                e.record)
             if isinstance(w, str):
                 raise Infeasible(w)
-            task_weights[t.id] = w
-            task_args.append((t.id, tile.id, wcet, md, tile.memory.service_time))
-        for inst in instances:
-            m = inst.message
-            src, dst = arch.tile(inst.src_tile), arch.tile(inst.dst_tile)
-            wkey = (m.id, src.id, dst.id)
+            task_weights.append(w)
+        for m, _, src, dst, _, hops, flits in transfers:
+            wkey = (m.id, src.tile_id, dst.tile_id)
             w = tables.get(wkey) or _search(
-                tables, wkey, scheduling.min_message_weight,
-                m.period, m.mem_demand, inst.flits, inst.hops, src, dst, noc,
-                scheduling.tile_record(tables, src), scheduling.tile_record(tables, dst),
-            )
+                tables, wkey, scheduling.min_message_weight, m.period, m.mem_demand,
+                flits, hops, src.tile, dst.tile, arch.noc, src.record, dst.record)
             if isinstance(w, str):
                 raise Infeasible(w)
-            message_weights[inst.key] = w
-            transfer_args.append((
-                inst.key, src.id, dst.id, m.mem_demand, src.memory.service_time,
-                inst.flits, inst.hops, dst.memory.service_time,
-            ))
+            transfer_weights.append(w)
         loads = scheduling.check_feasibility(
-            spec, bindings, instances, task_weights, message_weights)
+            spec, bindings, dict(zip(app.index, task_weights)), transfers, transfer_weights)
     except Infeasible as exc:
-        result = MappingResult(mode, bindings, reserved_cores, reserved_tiles, schemes,
-                               instances, placement, reason=str(exc))
+        result = MappingResult(*fields, reason=str(exc))
     else:
-        tuples = scheduling.refine_tuples(
-            spec, placement, instances, task_weights, message_weights, schemes, loads)
+        reserved = (reserved_cores, reserved_tiles)
+        refined = core, tx, rx, route, bus, _ = scheduling.refine_tuples(
+            spec, edges, transfers, task_weights, transfer_weights, reserved, loads)
 
-        # Each bound term is kept in the spec's tables, keyed by its arguments.
-        bus, core_tuple = tuples.bus, tuples.core
-        task_parts, task_wcrt = {}, {}
-        for task_id, tile_id, wcet, md, st in task_args:
-            parts = _term(tables, ("wcrt", wcet, md, st, bus[tile_id], core_tuple[task_id]),
-                          timing.wcrt)
-            task_parts[task_id] = parts
-            task_wcrt[task_id] = sum(parts)
-
-        tx, route, rx = tuples.tx, tuples.route, tuples.rx
-        transfer_parts, transfer_wctt = {}, {}
-        for k, src, dst, md, src_st, flits, hops, dst_st in transfer_args:
+        # Each bound term is kept in the spec's tables, keyed by the name of
+        # its bound and its arguments; no term is 0.
+        task_terms = []
+        for e, md, c in zip(edges, eff_md, core):
+            k = ("wcrt", e.wcet, md, e.service_time, bus[e.tile_id], c)
+            task_terms.append(tables.get(k) or tables.setdefault(k, timing.wcrt(*k[1:])))
+        wctt: dict[InstanceKey, int] = {}
+        router_delay = arch.noc.router_delay
+        transfer_terms = []
+        for (m, end, src, dst, _, hops, flits), t_tx, t_rx, t_route in zip(
+                transfers, tx, rx, route):
+            md = m.mem_demand
+            k_tx = ("d_tx", md, src.service_time, bus[src.tile_id], t_tx)
+            k_noc = ("d_noc", flits, hops, router_delay, t_route)
+            k_rx = ("d_rx", md, dst.service_time, bus[dst.tile_id], t_rx)
             parts = (
-                _term(tables, ("d_tx", md, src_st, bus[src], tx[k]), timing.tx_latency),
-                _term(tables, ("d_noc", flits, hops, noc.router_delay, route[k]),
-                      timing.noc_latency),
-                _term(tables, ("d_rx", md, dst_st, bus[dst], rx[k]), timing.rx_latency),
-            )
-            transfer_parts[k] = parts
-            transfer_wctt[k] = sum(parts)
+                tables.get(k_tx) or tables.setdefault(k_tx, timing.tx_latency(*k_tx[1:])),
+                tables.get(k_noc) or tables.setdefault(k_noc, timing.noc_latency(*k_noc[1:])),
+                tables.get(k_rx) or tables.setdefault(k_rx, timing.rx_latency(*k_rx[1:])))
+            transfer_terms.append(parts)
+            wctt[end] = sum(parts)
+        wcrt = list(map(sum, task_terms))
+        makespan = timing.makespan(app, wcrt, wctt)
+        throughput = timing.throughput(wcrt, wctt.values())
 
-        makespan = timing.makespan(app, task_wcrt, transfer_wctt)
-        throughput = timing.throughput(task_wcrt, transfer_wctt)
-
-        usage = resource_usage(placement, schemes, loads[0])
+        hosts = sorted(dict(zip(map(_CORE_ID, edges), edges)).values(), key=_RANK)
+        usage = resource_usage(hosts, reserved, loads[0])
         result = MappingResult(
-            mode, bindings, reserved_cores, reserved_tiles, schemes, instances, placement,
-            tuples=tuples, task_wcrt=task_wcrt, task_parts=task_parts,
-            transfer_parts=transfer_parts, transfer_wctt=transfer_wctt,
-            makespan=makespan, throughput=throughput,
-            objectives=(makespan, usage, energy(spec, bindings, instances, usage)),
-        )
+            *fields, None, refined, task_terms, transfer_terms, makespan, throughput,
+            (makespan, usage, energy(spec, edges, transfers, usage)))
     # Kept only once whole: a decode that raises leaves no entry, and the
     # entry goes as soon as the result dies.
     results[key] = result
@@ -462,11 +501,12 @@ def decode(
     Out-of-range binding genes are repaired by wrapping onto the task's
     edge list, so any integer genotype decodes deterministically.
     """
-    tasks = spec.application.tasks
-    bindings = {
-        t.id: spec.edges_of[t.id][genotype.bindings[i] % len(spec.edges_of[t.id])]
-        for i, t in enumerate(tasks)
-    }
+    rows = _edge_rows(spec)
+    genes = list(map(mod, genotype.bindings, map(len, rows)))
+    edges = list(map(getitem, rows, genes))
+    if None in edges:
+        edges = [edge_record(spec, i, j) for i, j in enumerate(genes)]
+    bindings = dict(zip(spec.application.index, map(_CORE_ID, edges)))
     # Both id maps are in architecture order, as the genotype's flags are.
     arch = spec.architecture
     if mode is ExplorationMode.FIXED_CS:
@@ -478,7 +518,7 @@ def decode(
     else:
         cores = set(compress(arch._cores_by_id, genotype.core_flags))
         tiles = set(compress(arch._tiles_by_id, genotype.tile_flags))
-    return _build(spec, bindings, cores, tiles, mode)
+    return _build(spec, bindings, edges, cores, tiles, mode)
 
 
 def from_bindings(
@@ -490,7 +530,8 @@ def from_bindings(
 ) -> MappingResult:
     """Analyze an explicit binding (a mapping file) through the same pipeline."""
     arch = spec.architecture
-    for t in spec.application.tasks:
+    edges = []
+    for i, t in enumerate(spec.application.tasks):
         if t.id not in bindings:
             raise ValidationError(f"mapping: task {t.id} has no binding")
         core = bindings[t.id]
@@ -498,12 +539,14 @@ def from_bindings(
             raise ValidationError(
                 f"mapping: {t.id} -> {core} is not among its mapping edges"
             )
+        edges.append(_edge(spec, t, core))
     for name in bindings:
         if name not in spec.application._tasks_by_id:
             raise ValidationError(f"mapping: unknown task {name!r}")
     _check_ids(reserved_cores, arch._cores_by_id, "core", "core_flags")
     _check_ids(reserved_tiles, arch._tiles_by_id, "tile", "tile_flags")
-    return _build(spec, dict(bindings), set(reserved_cores), set(reserved_tiles), mode)
+    return _build(spec, dict(bindings), edges, set(reserved_cores), set(reserved_tiles),
+                  mode)
 
 
 def _check_ids(ids, known: TMapping, what: str, field_name: str) -> None:

@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Iterable, Mapping
 
 from .arbitration import ArbitrationPolicy
@@ -30,6 +31,7 @@ from .errors import (
 )
 
 NS_PER_US = 1000
+_CORE_TYPE = attrgetter("core_type")
 # Scalar energy coefficients; dynamic_per_core_type maps core types to more.
 ENERGY_COEFFICIENTS = ("static_per_core", "e_link", "e_router", "e_bus_src", "e_bus_dst")
 
@@ -134,33 +136,56 @@ class ApplicationGraph:
         return {k: tuple(v) for k, v in inc.items()}
 
     @cached_property
-    def topo_order(self) -> tuple[str, ...]:
-        """Task ids in topological order (Kahn's algorithm); among ready
-        tasks the earliest declared comes first."""
-        index = {t.id: i for i, t in enumerate(self.tasks)}
-        waiting = [len(self.inputs_of[t.id]) for t in self.tasks]
+    def index(self) -> dict[str, int]:
+        """Task id -> position of the task in `tasks`."""
+        return {t.id: i for i, t in enumerate(self.tasks)}
+
+    @cached_property
+    def ends(self) -> tuple[tuple[Message, int, tuple[tuple[int, tuple[str, str]], ...]], ...]:
+        """Per message: (message, producer position, ((consumer position,
+        (message id, consumer id)), ...)); each pair is one message end."""
+        index = self.index
+        return tuple((m, index[m.src], tuple((index[c], (m.id, c)) for c in m.consumers))
+                     for m in self.messages)
+
+    @cached_property
+    def topo_inputs(self) -> tuple[tuple[int, tuple[tuple[int, tuple[str, str]], ...]], ...]:
+        """Per task in topological order (Kahn's algorithm; among ready tasks
+        the earliest declared comes first): (position, ((producer position,
+        end key), ...)) over its input messages, in declaration order."""
+        inputs: list[list] = [[] for _ in self.tasks]
+        successors: list[list] = [[] for _ in self.tasks]
+        for _, src, consumers in self.ends:
+            for c, key in consumers:
+                inputs[c].append((src, key))
+                successors[src].append(c)
+        waiting = list(map(len, inputs))
         ready = [i for i, n in enumerate(waiting) if n == 0]
         if not ready:
             raise CycleError("application graph has no source task (cycle)")
-        order: list[str] = []
+        order = []
         while ready:
-            tid = self.tasks[heapq.heappop(ready)].id
-            order.append(tid)
-            for m in self.outputs_of[tid]:
-                for c in m.consumers:
-                    waiting[index[c]] -= 1
-                    if waiting[index[c]] == 0:
-                        heapq.heappush(ready, index[c])
+            i = heapq.heappop(ready)
+            order.append((i, tuple(inputs[i])))
+            for c in successors[i]:
+                waiting[c] -= 1
+                if waiting[c] == 0:
+                    heapq.heappush(ready, c)
         if len(order) < len(self.tasks):
             # Every unordered task has an unordered producer; walking back
             # through those producers must revisit a task on a cycle.
-            seen: set[str] = set()
-            tid = next(t.id for t, n in zip(self.tasks, waiting) if n)
-            while tid not in seen:
-                seen.add(tid)
-                tid = next(m.src for m in self.inputs_of[tid] if waiting[index[m.src]])
-            raise CycleError(f"application graph has a cycle through {tid!r}")
+            seen: set[int] = set()
+            i = next(i for i, n in enumerate(waiting) if n)
+            while i not in seen:
+                seen.add(i)
+                i = next(src for src, _ in inputs[i] if waiting[src])
+            raise CycleError(f"application graph has a cycle through {self.tasks[i].id!r}")
         return tuple(order)
+
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """Task ids in the order of `topo_inputs`."""
+        return tuple(self.tasks[i].id for i, _ in self.topo_inputs)
 
 
 def end_to_end_paths(app: ApplicationGraph) -> tuple[tuple[str, ...], ...]:
@@ -354,6 +379,11 @@ class ArchitectureGraph:
         return {t.id: i for i, t in enumerate(self.tiles)}
 
     @cached_property
+    def core_index(self) -> dict[str, int]:
+        """Core id -> position of the core in `cores` (architecture order)."""
+        return {c: i for i, c in enumerate(self._cores_by_id)}
+
+    @cached_property
     def _tiles_by_id(self) -> dict[str, Tile]:
         return {t.id: t for t in self.tiles}
 
@@ -376,21 +406,34 @@ class ProblemSpec:
     def __post_init__(self):
         tasks = self.application._tasks_by_id
         cores = self.architecture._cores_by_id
-        allowed: dict[str, dict[str, None]] = {t: {} for t in tasks}
-        for task, core in self.mapping_edges:
-            if task not in tasks:
-                raise ValidationError(f"mapping edge: unknown task {task!r}")
-            if core not in cores:
-                raise ValidationError(f"mapping edge: unknown core {core!r}")
-            if core in allowed[task]:
-                raise ValidationError(f"duplicate mapping edge {task!r} -> {core!r}")
-            allowed[task][core] = None
-            ctype = cores[core].core_type
-            if ctype not in tasks[task].wcet:
-                raise ValidationError(
-                    f"task {task}: no wcet for core type {ctype!r} "
-                    f"(mapping edge to {core})"
-                )
+        allowed: dict[str, dict] = {t: {} for t in tasks}
+        # One pass files every edge under its task; counts and core types
+        # are then checked per task. On any fault the edges are checked one
+        # by one, in declaration order, to name the first faulty one.
+        try:
+            for task, core in self.mapping_edges:
+                allowed[task][core] = cores[core]
+            valid = sum(map(len, allowed.values())) == len(self.mapping_edges) and all(
+                set(map(_CORE_TYPE, row.values())) <= tasks[t].wcet.keys()
+                for t, row in allowed.items())
+        except KeyError:
+            valid = False
+        if not valid:
+            allowed = {t: {} for t in tasks}
+            for task, core in self.mapping_edges:
+                if task not in tasks:
+                    raise ValidationError(f"mapping edge: unknown task {task!r}")
+                if core not in cores:
+                    raise ValidationError(f"mapping edge: unknown core {core!r}")
+                if core in allowed[task]:
+                    raise ValidationError(f"duplicate mapping edge {task!r} -> {core!r}")
+                allowed[task][core] = None
+                ctype = cores[core].core_type
+                if ctype not in tasks[task].wcet:
+                    raise ValidationError(
+                        f"task {task}: no wcet for core type {ctype!r} "
+                        f"(mapping edge to {core})"
+                    )
         self.edges_of = {t: tuple(c) for t, c in allowed.items()}
         for t, c in self.edges_of.items():
             if not c:
@@ -402,6 +445,9 @@ class ProblemSpec:
         by the mapping and scheduling layers and dropped with the spec. Each
         kind of key has its own shape:
 
+          ("edges",) -> per task position, a slot for each of the task's
+              mapping edges, in `edges_of` order, holding the edge's record
+              (`scheduling.Edge`) once a decode has bound it
           (task id, core type, tile id, effective memory demand)
               -> least task weight, or the reason text of a failed search
           (message id, source tile id, destination tile id)

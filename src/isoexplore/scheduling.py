@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from . import kernels, timing
 from .arbitration import ArbitrationPolicy, ArbitrationTuple, make_tuple, reduce_capacity
@@ -170,19 +171,34 @@ def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -
                      tuple(tiles))
 
 
+class Edge(NamedTuple):
+    """A mapping edge as a decode reads it: the core, its tile and the
+    task's WCET there. Each is built once per spec."""
+
+    core_id: str
+    tile_id: str
+    core_type: str
+    wcet: int
+    service_time: int               # of the tile's memory
+    capacity: int                   # of the core's policy
+    record: tuple                   # the tile's `tile_record`
+    tile: Tile
+    rank: int                       # the core's position in architecture order
+
+
 def check_feasibility(
     spec: ProblemSpec,
     bindings: Mapping[str, str],
-    instances: Sequence,
     task_weights: Mapping[str, int],
-    message_weights: Mapping[InstanceKey, int],
+    transfers: Sequence[tuple],
+    transfer_weights: Sequence[int],
 ) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
     """The weights summed per core, in binding order, and per TX and per RX
     tile, in transfer order. Raises `Infeasible` for the first resource
     whose weights exceed its capacity: cores, then TX, RX and links.
 
-    `instances` are routed-transfer records (key, src/dst tile ids, route
-    link ids) as produced by the mapping layer.
+    `transfers` are the routed transfers of `mapping.route_instances`, and
+    `transfer_weights` their weights, in the same order.
     """
     arch = spec.architecture
     per_core: dict[str, int] = {}
@@ -191,17 +207,17 @@ def check_feasibility(
     per_tx: dict[str, int] = {}
     per_rx: dict[str, int] = {}
     per_link: dict[str, int] = {}
-    for inst in instances:
-        w = message_weights[inst.key]
-        per_tx[inst.src_tile] = per_tx.get(inst.src_tile, 0) + w
-        per_rx[inst.dst_tile] = per_rx.get(inst.dst_tile, 0) + w
-        for link in inst.links:
+    for (_, _, src, dst, links, _, _), w in zip(transfers, transfer_weights):
+        per_tx[src.tile_id] = per_tx.get(src.tile_id, 0) + w
+        per_rx[dst.tile_id] = per_rx.get(dst.tile_id, 0) + w
+        for link in links:
             per_link[link] = per_link.get(link, 0) + w
+    cores, tiles = arch._cores_by_id, arch._tiles_by_id
     link_cap = arch.noc.link_policy.capacity
     for kind, loads, capacity in (
-        ("core", per_core, lambda c: arch.core(c).policy.capacity),
-        ("tx", per_tx, lambda t: arch.tile(t).tx_policy.capacity),
-        ("rx", per_rx, lambda t: arch.tile(t).rx_policy.capacity),
+        ("core", per_core, lambda c: cores[c].policy.capacity),
+        ("tx", per_tx, lambda t: tiles[t].tx_policy.capacity),
+        ("rx", per_rx, lambda t: tiles[t].rx_policy.capacity),
         ("link", per_link, lambda _: link_cap),
     ):
         for resource, total in loads.items():
@@ -228,73 +244,80 @@ class TupleSet:
 
 def refine_tuples(
     spec: ProblemSpec,
-    placement: Placement,
-    instances: Sequence,
-    task_weights: Mapping[str, int],
-    message_weights: Mapping[InstanceKey, int],
-    schemes: Mapping[str, IsolationScheme],
+    edges: Sequence[Edge],
+    transfers: Sequence[tuple],
+    task_weights: Sequence[int],
+    transfer_weights: Sequence[int],
+    reserved: tuple[AbstractSet[str], AbstractSet[str]],
     loads: tuple[Mapping[str, int], Mapping[str, int], Mapping[str, int]],
-) -> TupleSet:
+) -> tuple[list, list, list, list, dict, tuple[dict, dict, dict, dict]]:
     """Build every tuple, reducing capacities where isolation allows.
 
-    `schemes` holds each hosting core's isolation scheme, and `loads` the
-    per-core, per-TX and per-RX weights that `check_feasibility` returns.
-    Reserved cores and cores of reserved tiles keep only their tasks' slots;
-    reserved tiles drop the bus slots of idle cores and shrink TX/RX cycles
-    to the traffic they actually carry. Route links never shrink. Reductions
-    apply to work-conserving policies only.
+    `edges` and `transfers` come with their weights; `reserved` holds the
+    reserved hosting cores and tiles, and `loads` what `check_feasibility`
+    returns. Reserved cores and cores of reserved tiles keep only their
+    tasks' slots; reserved tiles drop the bus slots of idle cores and shrink
+    TX/RX cycles to the traffic they actually carry. Route links never
+    shrink. Reductions apply to work-conserving policies only. Each tuple is
+    built once per spec and kept in its tables, keyed by what it depends on.
 
-    Each tuple is built once per spec and kept in its tables, keyed by
-    what it depends on.
+    Returns each task's core tuple, each transfer's tx, rx and route tuple
+    (three lists), each hosting tile's bus tuple, and the effective
+    capacities (bus, core, TX, RX) per hosting resource.
     """
     core_loads, tx_loads, rx_loads = loads
-    ts = TupleSet({}, {}, {}, {}, {}, {}, {}, {}, {})
+    reserved_cores, reserved_tiles = reserved
     # No stored tuple is falsy, so `tables.get(key) or` builds only on a miss.
     tables = spec.tables
+    bus: dict[str, ArbitrationTuple] = {}
+    bus_caps: dict[str, int] = {}
+    core_caps: dict[str, int] = {}
+    core: list[ArbitrationTuple] = []
+    for (core_id, tid, _, _, _, _, (bus_policy, core_policy, _), tile, _), w in zip(
+            edges, task_weights):
+        if tid not in bus:
+            bmw = tile.bus_master_weight
+            k_bus = bus_policy.capacity
+            if tid in reserved_tiles and bus_policy.work_conserving:
+                idle = len(tile.cores) - sum(map(core_loads.__contains__,
+                                                 map(attrgetter("id"), tile.cores)))
+                k_bus -= idle * bmw
+            bus_caps[tid] = k_bus
+            key = ("bus", tid, bmw, k_bus)
+            bus[tid] = tables.get(key) or tables.setdefault(
+                key, make_tuple(bus_policy, bmw, k_bus))
+        k_core = core_caps.get(core_id)
+        if k_core is None:
+            k_core = core_caps[core_id] = (
+                reduce_capacity(core_policy, core_loads[core_id])
+                if core_id in reserved_cores or tid in reserved_tiles
+                else core_policy.capacity)
+        key = ("core", tid, w, k_core)
+        core.append(tables.get(key) or tables.setdefault(
+            key, make_tuple(core_policy, w, k_core)))
 
-    for tile, hosting, outbound, inbound in placement.tiles:
-        tid = tile.id
-        bus_policy, core_policy, _ = tile_record(tables, tile)
-        # Every hosting core of a reserved tile is tile-reserved.
-        reserved = schemes[hosting[0].id] is IsolationScheme.TILE_RESERVATION
-        bmw = tile.bus_master_weight
-        k_bus = bus_policy.capacity
-        if reserved and bus_policy.work_conserving:
-            k_bus -= (len(tile.cores) - len(hosting)) * bmw
-        ts.bus_capacity[tid] = k_bus
-        key = ("bus", tid, bmw, k_bus)
-        bus = ts.bus[tid] = tables.get(key) or tables.setdefault(
-            key, make_tuple(bus_policy, bmw, k_bus))
-
-        for core in hosting:
-            if schemes[core.id] is IsolationScheme.CORE_SHARING:
-                k_core = core_policy.capacity
-            else:
-                k_core = reduce_capacity(core_policy, core_loads[core.id])
-            ts.core_capacity[core.id] = k_core
-            for task_id in placement.tasks_on_core[core.id]:
-                w = task_weights[task_id]
-                key = ("core", tid, w, k_core)
-                ts.core[task_id] = tables.get(key) or tables.setdefault(
-                    key, make_tuple(core_policy, w, k_core))
-
-        for kind, out, caps, traffic, policy, side_loads in (
-            ("tx", ts.tx, ts.tx_capacity, outbound, tile.tx_policy, tx_loads),
-            ("rx", ts.rx, ts.rx_capacity, inbound, tile.rx_policy, rx_loads),
-        ):
-            if not traffic:
-                continue
-            k_na = caps[tid] = (
-                reduce_capacity(policy, side_loads[tid]) if reserved else policy.capacity)
-            for inst in traffic:
-                w = message_weights[inst.key]
-                key = (kind, tid, w, k_na, k_bus)
-                out[inst.key] = tables.get(key) or tables.setdefault(
-                    key, make_tuple(policy, w, k_na, bus.period))
-
+    # Per adapter side: its tuple for each transfer, and its capacity per tile.
+    sides, caps = [], []
+    for kind, end, policy_of, side_loads in (
+            ("tx", 2, attrgetter("tx_policy"), tx_loads),
+            ("rx", 3, attrgetter("rx_policy"), rx_loads)):
+        side, k_of = [], {}
+        for transfer, w in zip(transfers, transfer_weights):
+            edge = transfer[end]
+            tid = edge.tile_id
+            k_na = k_of.get(tid)
+            if k_na is None:
+                policy = policy_of(edge.tile)
+                k_na = k_of[tid] = (reduce_capacity(policy, side_loads[tid])
+                                    if tid in reserved_tiles else policy.capacity)
+            key = (kind, tid, w, k_na, bus_caps[tid])
+            side.append(tables.get(key) or tables.setdefault(
+                key, make_tuple(policy_of(edge.tile), w, k_na, bus[tid].period)))
+        sides.append(side)
+        caps.append(k_of)
     lp = spec.architecture.noc.link_policy
-    for inst in instances:
-        w = message_weights[inst.key]
+    route = []
+    for w in transfer_weights:
         key = ("route", w)
-        ts.route[inst.key] = tables.get(key) or tables.setdefault(key, make_tuple(lp, w))
-    return ts
+        route.append(tables.get(key) or tables.setdefault(key, make_tuple(lp, w)))
+    return core, *sides, route, bus, (bus_caps, core_caps, *caps)

@@ -14,7 +14,7 @@ All values are integer nanoseconds; every ceiling is exact.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import kernels
 from .arbitration import ArbitrationTuple
@@ -100,34 +100,31 @@ def wctt(
 
 def makespan(
     app: ApplicationGraph,
-    task_response_times: Mapping[str, int],
-    message_traversal_times: Mapping[tuple[str, str], int],
+    response_times: Sequence[int],
+    traversal_times: Mapping[tuple[str, str], int],
 ) -> int:
     """Longest end-to-end chain: response times plus traversal times.
 
-    One longest-path pass over the tasks in topological order:
-    finish(t) = wcrt(t) + max over input messages m of
-    (finish(m.src) + traversal of m to t). Traversals are keyed by
+    `response_times[i]` belongs to `app.tasks[i]`. Traversals are keyed by
     (message id, consumer id), so each consumer's can differ; a local
-    message has no entry and takes 0.
+    message has no entry and takes 0. One longest-path pass over the tasks
+    in topological order: finish(t) = wcrt(t) + max over input messages m
+    of (finish(m.src) + traversal of m to t).
     """
-    finish: dict[str, int] = {}
-    for t in app.topo_order:
+    finish = [0] * len(response_times)
+    for t, inputs in app.topo_inputs:
         arrival = 0
-        for m in app.inputs_of[t]:
-            arrival = max(arrival, finish[m.src] + message_traversal_times.get((m.id, t), 0))
-        finish[t] = task_response_times[t] + arrival
-    return max(finish.values())
+        for src, key in inputs:
+            ready = finish[src] + traversal_times.get(key, 0)
+            if ready > arrival:
+                arrival = ready
+        finish[t] = response_times[t] + arrival
+    return max(finish)
 
 
-def throughput(
-    task_response_times: Mapping[str, int],
-    message_traversal_times: Mapping,
-) -> float:
+def throughput(response_times: Iterable[int], traversal_times: Iterable[int]) -> float:
     """Inverse of the slowest pipeline stage (responses and traversals)."""
-    slowest = max(task_response_times.values(), default=0)
-    for v in message_traversal_times.values():
-        slowest = max(slowest, v)
+    slowest = max(max(response_times, default=0), max(traversal_times, default=0))
     if slowest <= 0:
         raise EmptyGraph("throughput needs at least one positive stage time")
     return 1.0 / slowest

@@ -1,20 +1,23 @@
 """Binding decode, routing, isolation schemes, objectives, documents."""
 
+import functools
 import gc
 import json
+import operator
 import weakref
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoexplore import kernels
-from isoexplore.errors import MissingCoefficient, ValidationError
+from isoexplore import dse, kernels
+from isoexplore.errors import MissingCoefficient, SpecError, ValidationError
 from isoexplore.mapping import (
     ExplorationMode,
     Genotype,
     IsolationScheme,
     decode,
+    edge_record,
     effective_mem_demand,
     energy,
     from_bindings,
@@ -26,9 +29,9 @@ from isoexplore.mapping import (
 )
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
-from isoexplore.scheduling import place
 
 from conftest import bundled_text, tight_spec_text
+from test_model import JSON_VALUES, paths_in
 
 SHARED = {"t0": "t0_0.c0", "t1": "t1_0.c0", "t2": "t0_0.c1"}
 
@@ -45,23 +48,32 @@ def test_xy_route_golden():
     assert xy_route((1, 2), (1, 0)) == ("1,2->1,1", "1,1->1,0")
 
 
+def routed(spec, bindings):
+    """Each task's bound edge, in task order, and the routed transfers."""
+    edges = [edge_record(spec, i, spec.edges_of[t.id].index(bindings[t.id]))
+             for i, t in enumerate(spec.application.tasks)]
+    _, remote = effective_mem_demand(spec.application, [e.tile_id for e in edges])
+    return edges, route_instances(spec, edges, remote)
+
+
 def test_route_instances_skips_local_consumers(two_tile_spec):
-    insts = route_instances(two_tile_spec, SHARED)
+    _, transfers = routed(two_tile_spec, SHARED)
     # m0 t0->t2 stays on t0_0; only m1 t1->t2 crosses the mesh.
-    assert [i.key for i in insts] == [("m1", "t2")]
-    inst = insts[0]
-    assert (inst.src_tile, inst.dst_tile) == ("t1_0", "t0_0")
-    assert inst.links == ("1,0->0,0",)
-    assert inst.hops == 2                   # links + route hop offset
+    assert [key for _, key, *_ in transfers] == [("m1", "t2")]
+    _, _, src, dst, links, hops, _ = transfers[0]
+    assert (src.tile_id, dst.tile_id) == ("t1_0", "t0_0")
+    assert links == ("1,0->0,0",)
+    assert hops == 2                        # links + route hop offset
 
 
 def test_effective_mem_demand_folds_local_messages(two_tile_spec):
     app = two_tile_spec.application
     arch = two_tile_spec.architecture
-    eff = effective_mem_demand(app, SHARED, arch.tile_id_of)
+    eff, remote = effective_mem_demand(app, [arch.tile_id_of[SHARED[t.id]] for t in app.tasks])
     # m0 (md 6) is local: producer t0 writes it, consumer t2 re-reads it.
     # m1 is remote: adapters carry it, no task-side traffic.
-    assert eff == {"t0": 8 + 6, "t1": 4, "t2": 6 + 6}
+    assert dict(zip(app.index, eff)) == {"t0": 8 + 6, "t1": 4, "t2": 6 + 6}
+    assert [key for _, key, _, _ in remote] == [("m1", "t2")]
 
 
 # ------------------------------------------------------------- golden mapping
@@ -101,7 +113,9 @@ def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
     res = decode(spec, random_genotype(spec, Random(seed)), mode)
     if not res.feasible:
         return
-    eff = effective_mem_demand(spec.application, res.bindings, arch.tile_id_of)
+    app = spec.application
+    eff = dict(zip(app.index, effective_mem_demand(
+        app, [arch.tile_id_of[res.bindings[t.id]] for t in app.tasks])[0]))
     for t in spec.application.tasks:
         core = arch.core(res.bindings[t.id])
         bus, ct = res.tuples.bus[core.tile_id], res.tuples.core[t.id]
@@ -217,13 +231,13 @@ def test_digest_tracks_decision_variables(two_tile_spec):
 
 def test_resource_usage_tiers(two_tile_spec):
     loads = {"t0_0.c0": 3, "t1_0.c0": 1, "t0_0.c1": 2}
-    placement = place(two_tile_spec, SHARED, route_instances(two_tile_spec, SHARED))
-    CS, CR, TR = IsolationScheme
-    shared = dict.fromkeys(loads, CS)
-    assert resource_usage(placement, shared, loads) == pytest.approx(3 / 5 + 2 / 5 + 1 / 5)
-    core_res = resource_usage(placement, {**shared, "t0_0.c0": CR}, loads)
+    edges, _ = routed(two_tile_spec, SHARED)
+    hosts = sorted(edges, key=lambda e: e.rank)     # one task per core
+    shared = resource_usage(hosts, (set(), set()), loads)
+    assert shared == pytest.approx(3 / 5 + 2 / 5 + 1 / 5)
+    core_res = resource_usage(hosts, ({"t0_0.c0"}, set()), loads)
     assert core_res == pytest.approx(1 + 2 / 5 + 1 / 5)
-    tile_res = resource_usage(placement, {**shared, "t0_0.c0": TR, "t0_0.c1": TR}, loads)
+    tile_res = resource_usage(hosts, (set(), {"t0_0"}), loads)
     assert tile_res == pytest.approx(3 + 1 / 5)     # all 3 cores of t0_0
 
 
@@ -255,9 +269,9 @@ def test_energy_requires_every_coefficient(two_tile_spec):
 
 
 def test_energy_charges_noc_only_for_remote_traffic(two_tile_spec):
-    insts = route_instances(two_tile_spec, SHARED)
-    local_only = energy(two_tile_spec, SHARED, [], 1.0)
-    with_noc = energy(two_tile_spec, SHARED, insts, 1.0)
+    edges, transfers = routed(two_tile_spec, SHARED)
+    local_only = energy(two_tile_spec, edges, (), 1.0)
+    with_noc = energy(two_tile_spec, edges, transfers, 1.0)
     assert with_noc > local_only
 
 
@@ -552,3 +566,75 @@ def test_dead_references_are_misses():
     refs.close()                        # the iteration ends
     assert live[key] is second and len(live) == 1
     assert json.dumps(second.to_doc()) == expected
+
+
+# ------------------------------------------------------------- derived views
+
+
+VIEWS = ("schemes", "instances", "placement", "tuples",
+         "task_wcrt", "task_parts", "transfer_parts", "transfer_wctt")
+
+
+def test_explore_derives_no_view(monkeypatch):
+    # Ranking reads feasibility, objectives and digests only; the views are
+    # derived on first read, and a reloaded archive entry reads them all.
+    text = emit_spec(generate_spec("consumer", (4, 4), 1))
+    spec = parse_spec(text)
+    decoded = []
+
+    def keep(*args):
+        decoded.append(decode(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(dse, "decode", keep)
+    result = dse.explore(spec, ExplorationMode.ISOLATION_AWARE, seed=1, iterations=20)
+    assert len(decoded) == result.evaluations
+    assert [v for r in decoded for v in VIEWS if v in vars(r)] == []
+    fresh = parse_spec(text)
+    for entry in result.archive.entries:
+        assert load_mapping_doc(fresh, entry.to_doc()).objectives == entry.objectives
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_views_read_late_and_in_any_order_match_a_fresh_decode(name):
+    # Every result is kept and read only after all are decoded, its views
+    # in a shuffled order: a view must not depend on tables that later
+    # decodes filled, nor on which view was read first.
+    text = TABLE_SPECS[name]
+    warm = parse_spec(text)
+    rng = Random(21)
+    modes = list(ExplorationMode)
+    kept = []
+    for i in range(300):
+        g = random_genotype(warm, rng)
+        kept.append((g, modes[i % len(modes)], decode(warm, g, modes[i % len(modes)])))
+    assert [v for *_, r in kept for v in VIEWS if v in vars(r)] == []
+    for g, mode, res in kept:
+        for view in rng.sample(VIEWS, len(VIEWS)):
+            getattr(res, view)
+        fresh = decode(parse_spec(text), g, mode)
+        assert json.dumps(res.to_doc()) == json.dumps(fresh.to_doc())
+
+
+MAPPED_SPEC = parse_spec(bundled_text("specs", "join_two_tile.json"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_mapping_document_loads_or_raises_a_spec_error(data):
+    """1-3 edits of the bundled mapping document, each dropping a key or
+    replacing a value with one of another JSON type."""
+    doc = json.loads(bundled_text("mappings", "join_two_tile_shared.json"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, key = data.draw(st.sampled_from(list(paths_in(doc))))
+        parent = functools.reduce(operator.getitem, head, doc)
+        kinds = [kind for kind in JSON_VALUES if kind is not type(parent[key])]
+        kind = data.draw(st.sampled_from([None, *kinds]))
+        if kind is None:
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES[kind])
+    try:
+        load_mapping_doc(MAPPED_SPEC, doc)
+    except SpecError:
+        pass

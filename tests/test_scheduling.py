@@ -11,10 +11,11 @@ import pytest
 from isoexplore import generate_spec, kernels, scheduling
 from isoexplore.arbitration import ArbitrationTuple, make_tuple
 from isoexplore.errors import Infeasible
-from isoexplore.mapping import decode, random_genotype
+from isoexplore.mapping import decode, edge_record, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.scheduling import (
     IsolationScheme,
+    TupleSet,
     bus_master_tuple,
     check_feasibility,
     extended_bus_policy,
@@ -97,6 +98,16 @@ class Inst:
 
 def make_inst(spec, links=("0,0->1,0",)):
     return Inst((spec.application.messages[0].id, "b"), "t0", "t1", tuple(links))
+
+
+def make_transfer(spec, links=("0,0->1,0",), src="a"):
+    """A routed transfer of message m from the tile of `src` to the other
+    task's tile, as `mapping.route_instances` lists it; a on t0.c0, b on
+    t1.c1."""
+    ends = {"a": edge_record(spec, 0, 0), "b": edge_record(spec, 1, 0)}
+    dst = "b" if src == "a" else "a"
+    m = spec.application.messages[0]
+    return (m, (m.id, dst), ends[src], ends[dst], tuple(links), len(links) + 1, 3)
 
 
 # ----------------------------------------------------------- policy extension
@@ -220,23 +231,23 @@ def test_min_message_weight_infeasible():
 
 def test_check_feasibility_accepts_fitting_budgets():
     spec = make_spec()
-    inst = make_inst(spec)
-    assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                             {"a": 3, "b": 2}, {("m", "b"): 4}) == (
+    transfer = make_transfer(spec)
+    assert check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, {"a": 3, "b": 2},
+                             [transfer], [4]) == (
         {"t0.c0": 3, "t1.c1": 2}, {"t0": 4}, {"t1": 4})
     # Per core in binding order, shared cores summed.
-    cores, _, _ = check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0", "c": "t1.c1"}, [],
-                                    {"a": 1, "b": 2, "c": 3}, {})
+    cores, _, _ = check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0", "c": "t1.c1"},
+                                    {"a": 1, "b": 2, "c": 3}, [], [])
     assert list(cores.items()) == [("t1.c1", 5), ("t0.c0", 1)]
 
 
 def test_check_feasibility_core_overload():
     spec = make_spec()
     with pytest.raises(Infeasible, match=r"^core t0\.c0 overloaded: 6 > 5$"):
-        check_feasibility(spec, {"a": "t0.c0", "b": "t0.c0"}, [], {"a": 3, "b": 3}, {})
+        check_feasibility(spec, {"a": "t0.c0", "b": "t0.c0"}, {"a": 3, "b": 3}, [], [])
     # Of two overloaded cores, the one bound first is reported.
     with pytest.raises(Infeasible, match=r"^core t1\.c1 overloaded: 7 > 5$"):
-        check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0"}, [], {"a": 6, "b": 7}, {})
+        check_feasibility(spec, {"b": "t1.c1", "a": "t0.c0"}, {"a": 6, "b": 7}, [], [])
 
 
 # Raised adapter capacities make each resource in turn the first one over.
@@ -249,27 +260,25 @@ OVER_FIRST = {"tx t0": {}, "rx t1": {"tx_capacity": 8},
 )
 def test_check_feasibility_transfer_overload(weight, kind):
     spec = make_spec(**OVER_FIRST[kind])
-    inst = make_inst(spec)
     with pytest.raises(Infeasible, match=f"^{re.escape(kind)} overloaded: 5 > 4$"):
-        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                          {"a": 1, "b": 1}, {("m", "b"): weight})
+        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, {"a": 1, "b": 1},
+                          [make_transfer(spec)], [weight])
 
 
 def test_check_feasibility_reports_a_core_before_a_transfer():
     spec = make_spec()
-    inst = make_inst(spec)
     with pytest.raises(Infeasible, match=r"^core t1\.c1 overloaded: 6 > 5$"):
-        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [inst],
-                          {"a": 1, "b": 6}, {("m", "b"): 5})
+        check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, {"a": 1, "b": 6},
+                          [make_transfer(spec)], [5])
 
 
 def test_check_feasibility_link_overload_is_per_link():
     spec = make_spec()
-    a = make_inst(spec)
-    b = Inst(("m2", "a"), "t1", "t0", ("1,0->0,0",))
+    a = make_transfer(spec)
+    b = make_transfer(spec, ("1,0->0,0",), src="b")
     # opposite directions never collide
-    _, tx, rx = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, [a, b],
-                                  {"a": 1, "b": 1}, {("m", "b"): 3, ("m2", "a"): 3})
+    _, tx, rx = check_feasibility(spec, {"a": "t0.c0", "b": "t1.c1"}, {"a": 1, "b": 1},
+                                  [a, b], [3, 3])
     assert list(tx.items()) == [("t0", 3), ("t1", 3)]   # transfer order
     assert list(rx.items()) == [("t1", 3), ("t0", 3)]
 
@@ -302,13 +311,19 @@ def refined(spec, a=CS, b=CS):
     """Refinement of task a on t0.c0 and b on t1.c1, each core under the
     scheme given for its task."""
     bindings = {"a": "t0.c0", "b": "t1.c1"}
-    insts = [make_inst(spec)]
-    task_weights, message_weights = {"a": 2, "b": 1}, {("m", "b"): 1}
-    loads = check_feasibility(spec, bindings, insts, task_weights, message_weights)
-    return refine_tuples(
-        spec, place(spec, bindings, insts), insts, task_weights, message_weights,
-        {"t0.c0": a, "t1.c1": b}, loads,
-    )
+    edges = [edge_record(spec, 0, 0), edge_record(spec, 1, 0)]
+    transfers = [make_transfer(spec)]
+    task_weights, transfer_weights = [2, 1], [1]
+    loads = check_feasibility(spec, bindings, dict(zip("ab", task_weights)), transfers,
+                              transfer_weights)
+    schemes = {"t0.c0": a, "t1.c1": b}
+    reserved = ({c for c, s in schemes.items() if s is CR},
+                {c.split(".")[0] for c, s in schemes.items() if s is TR})
+    core, tx, rx, route, bus, caps = refine_tuples(
+        spec, edges, transfers, task_weights, transfer_weights, reserved, loads)
+    key = ("m", "b")
+    return TupleSet(dict(zip("ab", core)), bus, {key: tx[0]}, {key: rx[0]}, {key: route[0]},
+                    *caps)
 
 
 def test_refine_defaults_keep_full_capacity():

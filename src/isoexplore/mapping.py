@@ -12,8 +12,9 @@ result back. Routes, least weights, arbitration tuples and bound terms are
 looked up in the spec's tables by their arguments.
 
 A decode computes what ranking reads, the reason or the objectives, in one
-walk over the tasks and one over the transfers, by position; the
-dict-shaped views of a `MappingResult` are derived on first read.
+walk over the tasks and one over the transfers, and stores its facts by
+position; the few id-keyed views of a `MappingResult` are derived on first
+read.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ def xy_route(src_pos: tuple[int, int], dst_pos: tuple[int, int]) -> tuple[str, .
     return tuple(links)
 
 
-@dataclass(frozen=True, slots=True)
-class RoutedInstance:
-    """One inter-tile transfer: a message toward one remote consumer."""
-
-    message: Message
-    src_tile: str
-    dst_tile: str
-    links: tuple[str, ...]
-    hops: int
-    key: InstanceKey                # (message id, consumer)
-    flits: int                      # of the message's payload
-
-
 @dataclass
 class MappingResult:
     """One decoded mapping. Two decodes of the same phenotype (the same
@@ -104,9 +92,12 @@ class MappingResult:
     them. A result is feasible when it has no `reason`.
 
     A decode sets the fields: the reason or the objectives, and the
-    per-position arrays that the views below are derived from on first
-    read. A feasible result's weights are read from its tuples: a task's
-    from `tuples.core`, a transfer's from `tuples.route`."""
+    per-position arrays. `transfers` are `route_instances`' tuples; a
+    feasible result's `tuples` and `transfer_terms` follow their order,
+    and `task_terms` the order of the tasks. A task's weight is read from
+    its core tuple, a transfer's from its route tuple. The views below are
+    derived from the arrays on first read: `to_doc`, the simulator and the
+    CLI read them."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
@@ -115,7 +106,7 @@ class MappingResult:
     spec: ProblemSpec = field(repr=False, compare=False)
     transfers: tuple[tuple, ...]            # `route_instances`, in routing order
     reason: str | None = None
-    refined: tuple | None = None            # `scheduling.refine_tuples`
+    tuples: TupleSet | None = None          # `scheduling.refine_tuples`
     task_terms: list[tuple[int, int, int, int]] | None = None    # per task
     transfer_terms: list[tuple[int, int, int]] | None = None     # per transfer
     makespan: int = 0
@@ -149,38 +140,16 @@ class MappingResult:
         }
 
     @cached_property
-    def instances(self) -> tuple[RoutedInstance, ...]:
-        return tuple(RoutedInstance(m, src.tile_id, dst.tile_id, links, hops, key, flits)
-                     for m, key, src, dst, links, hops, flits in self.transfers)
-
-    @cached_property
     def placement(self) -> Placement:
-        return scheduling.place(self.spec, self.bindings, self.instances)
-
-    @cached_property
-    def tuples(self) -> TupleSet | None:
-        if self.refined is None:
-            return None
-        core, tx, rx, route, bus, caps = self.refined
-        keys = [key for _, key, *_ in self.transfers]
-        return TupleSet(dict(zip(self.spec.application.index, core)), bus,
-                        *(dict(zip(keys, side)) for side in (tx, rx, route)), *caps)
-
-    @cached_property
-    def task_parts(self) -> dict[str, tuple[int, int, int, int]]:
-        return dict(zip(self.spec.application.index, self.task_terms or ()))
+        return scheduling.place(self.spec, self.bindings, self.transfers)
 
     @cached_property
     def task_wcrt(self) -> dict[str, int]:
-        return dict(zip(self.task_parts, map(sum, self.task_parts.values())))
-
-    @cached_property
-    def transfer_parts(self) -> dict[InstanceKey, tuple[int, int, int]]:
-        return dict(zip(map(itemgetter(1), self.transfers), self.transfer_terms or ()))
+        return dict(zip(self.spec.application.index, map(sum, self.task_terms or ())))
 
     @cached_property
     def transfer_wctt(self) -> dict[InstanceKey, int]:
-        return dict(zip(self.transfer_parts, map(sum, self.transfer_parts.values())))
+        return dict(zip(map(itemgetter(1), self.transfers), map(sum, self.transfer_terms or ())))
 
     def to_doc(self) -> dict:
         doc: dict = {
@@ -201,30 +170,31 @@ class MappingResult:
         if self.reason is not None:
             doc["reason"] = self.reason
             return doc
-        key = lambda k: f"{k[0]}->{k[1]}"
+        tasks = self.spec.application.index
+        keys = ["->".join(k) for _, k, *_ in self.transfers]
         ts, tiles, on_core = self.tuples, self.placement.tiles, self.placement.tasks_on_core
         bus = ts.bus
         doc["weights"] = {
-            "tasks": {t: ts.core[t].weight for t in self.task_parts},
-            "transfers": {key(k): v.weight for k, v in ts.route.items()},
+            "tasks": {t: c.weight for t, c in zip(tasks, ts.core)},
+            "transfers": {k: r.weight for k, r in zip(keys, ts.route)},
         }
-        doc["routes"] = {key(i.key): list(i.links) for i in self.instances}
+        doc["routes"] = {k: list(links) for k, (*_, links, _, _) in zip(keys, self.transfers)}
         # Tiles in architecture order, each with its cores, tasks and transfers.
         doc["tuples"] = {
-            "core": {t: list(ts.core[t]) for _, cores, _, _ in tiles
+            "core": {t: list(ts.core[tasks[t]]) for _, cores, _, _ in tiles
                      for c in cores for t in on_core[c.id]},
             "core_bus": {c.id: list(bus[t.id]) for t, cores, _, _ in tiles for c in cores},
             "tx_bus": {t.id: list(bus[t.id]) for t, _, out, _ in tiles if out},
             "rx_bus": {t.id: list(bus[t.id]) for t, _, _, inb in tiles if inb},
-            "tx": {key(i.key): list(ts.tx[i.key]) for _, _, out, _ in tiles for i in out},
-            "rx": {key(i.key): list(ts.rx[i.key]) for _, _, _, inb in tiles for i in inb},
-            "route": {key(k): list(v) for k, v in ts.route.items()},
+            "tx": {keys[i]: list(ts.tx[i]) for _, _, out, _ in tiles for i in out},
+            "rx": {keys[i]: list(ts.rx[i]) for _, _, _, inb in tiles for i in inb},
+            "route": {k: list(r) for k, r in zip(keys, ts.route)},
         }
         doc["timing"] = {
             "wcrt": {t: dict(zip(_WCRT_TERMS, p), total=sum(p))
-                     for t, p in self.task_parts.items()},
-            "wctt": {key(k): dict(zip(_WCTT_TERMS, p), total=sum(p))
-                     for k, p in self.transfer_parts.items()},
+                     for t, p in zip(tasks, self.task_terms)},
+            "wctt": {k: dict(zip(_WCTT_TERMS, p), total=sum(p))
+                     for k, p in zip(keys, self.transfer_terms)},
             "makespan": self.makespan,
             "throughput": self.throughput,
         }
@@ -421,8 +391,7 @@ def _build(
     if result is not None:
         return result
 
-    # One walk over the tasks and one over the transfers, by position; the
-    # views that documents and the simulator read are derived on demand.
+    # One walk over the tasks and one over the transfers, by position.
     eff_md, remote = effective_mem_demand(app, list(map(_TILE_ID, edges)))
     transfers = route_instances(spec, edges, remote)
     fields = (mode, bindings, reserved_cores, reserved_tiles, spec, transfers)
@@ -452,7 +421,7 @@ def _build(
         result = MappingResult(*fields, reason=str(exc))
     else:
         reserved = (reserved_cores, reserved_tiles)
-        refined = core, tx, rx, route, bus, _ = scheduling.refine_tuples(
+        tuples = core, tx, rx, route, bus, *_ = scheduling.refine_tuples(
             spec, edges, transfers, task_weights, transfer_weights, reserved, loads)
 
         # Each bound term is kept in the spec's tables, keyed by the name of
@@ -483,7 +452,7 @@ def _build(
         hosts = sorted(dict(zip(map(_CORE_ID, edges), edges)).values(), key=_RANK)
         usage = resource_usage(hosts, reserved, loads[0])
         result = MappingResult(
-            *fields, None, refined, task_terms, transfer_terms, makespan, throughput,
+            *fields, None, tuples, task_terms, transfer_terms, makespan, throughput,
             (makespan, usage, energy(spec, edges, transfers, usage)))
     # Kept only once whole: a decode that raises leaves no entry, and the
     # entry goes as soon as the result dies.

@@ -1,8 +1,8 @@
 """Budget assignment and arbitration-tuple construction for one binding.
 
 `place` groups a binding once: each hosting core's tasks, and each hosting
-tile's cores and outbound and inbound transfers. Refinement, the resource
-objective, the mapping document and the simulator all read that grouping.
+tile's cores and the positions of its outbound and inbound transfers. The
+mapping document and the simulator read that grouping.
 
 Weights are searched at unreduced capacity (smallest weight whose bound
 meets the element's period); `check_feasibility` sums them per core and
@@ -140,25 +140,27 @@ class Placement:
 
     `tasks_on_core` maps each hosting core id, in id order, to its tasks,
     in declaration order. `tiles` holds one (tile, hosting cores, outbound,
-    inbound) entry per hosting tile, in architecture order, with the
-    transfers in routing order. A transfer leaves its producer's tile and
-    enters its consumer's, so every tile with traffic is a hosting tile.
+    inbound) entry per hosting tile, in architecture order; outbound and
+    inbound are positions in the routed transfers, in routing order. A
+    transfer leaves its producer's tile and enters its consumer's, so every
+    tile with traffic is a hosting tile.
     """
 
     tasks_on_core: dict[str, tuple[str, ...]]
-    tiles: tuple[tuple[Tile, tuple[Core, ...], tuple, tuple], ...]
+    tiles: tuple[tuple[Tile, tuple[Core, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
-def place(spec: ProblemSpec, bindings: Mapping[str, str], instances: Sequence) -> Placement:
-    """Group a complete binding and its routed transfers by core and tile."""
+def place(spec: ProblemSpec, bindings: Mapping[str, str], transfers: Sequence[tuple]) -> Placement:
+    """Group a complete binding and its routed transfers (those of
+    `mapping.route_instances`) by core and tile."""
     tasks_on_core: dict[str, list[str]] = {}
     for t in spec.application.tasks:
         tasks_on_core.setdefault(bindings[t.id], []).append(t.id)
-    out_of: dict[str, list] = {}
-    in_of: dict[str, list] = {}
-    for inst in instances:
-        out_of.setdefault(inst.src_tile, []).append(inst)
-        in_of.setdefault(inst.dst_tile, []).append(inst)
+    out_of: dict[str, list[int]] = {}
+    in_of: dict[str, list[int]] = {}
+    for i, (_, _, src, dst, *_) in enumerate(transfers):
+        out_of.setdefault(src.tile_id, []).append(i)
+        in_of.setdefault(dst.tile_id, []).append(i)
     # Every result keeps its placement, so it holds tuples, which are
     # smaller than the lists they are built from.
     arch = spec.architecture
@@ -227,15 +229,15 @@ def check_feasibility(
     return per_core, per_tx, per_rx
 
 
-@dataclass
-class TupleSet:
-    """All arbitration tuples of one feasible binding, after refinement."""
+class TupleSet(NamedTuple):
+    """All arbitration tuples of one feasible binding, after refinement:
+    the per-element tuples by position, the shared ones by resource id."""
 
-    core: dict[str, ArbitrationTuple]            # per task
+    core: list[ArbitrationTuple]                 # per task position
+    tx: list[ArbitrationTuple]                   # per transfer position
+    rx: list[ArbitrationTuple]                   # per transfer position
+    route: list[ArbitrationTuple]                # per transfer position
     bus: dict[str, ArbitrationTuple]             # per hosting tile, any bus master
-    tx: dict[InstanceKey, ArbitrationTuple]
-    rx: dict[InstanceKey, ArbitrationTuple]
-    route: dict[InstanceKey, ArbitrationTuple]
     bus_capacity: dict[str, int]                 # effective, per hosting tile
     core_capacity: dict[str, int]                # effective, per hosting core
     tx_capacity: dict[str, int]                  # effective, per tile with outbound traffic
@@ -250,7 +252,7 @@ def refine_tuples(
     transfer_weights: Sequence[int],
     reserved: tuple[AbstractSet[str], AbstractSet[str]],
     loads: tuple[Mapping[str, int], Mapping[str, int], Mapping[str, int]],
-) -> tuple[list, list, list, list, dict, tuple[dict, dict, dict, dict]]:
+) -> TupleSet:
     """Build every tuple, reducing capacities where isolation allows.
 
     `edges` and `transfers` come with their weights; `reserved` holds the
@@ -261,9 +263,8 @@ def refine_tuples(
     shrink. Reductions apply to work-conserving policies only. Each tuple is
     built once per spec and kept in its tables, keyed by what it depends on.
 
-    Returns each task's core tuple, each transfer's tx, rx and route tuple
-    (three lists), each hosting tile's bus tuple, and the effective
-    capacities (bus, core, TX, RX) per hosting resource.
+    The `TupleSet` lists the core tuples in the order of `edges` and the
+    adapter and route tuples in the order of `transfers`.
     """
     core_loads, tx_loads, rx_loads = loads
     reserved_cores, reserved_tiles = reserved
@@ -320,4 +321,4 @@ def refine_tuples(
     for w in transfer_weights:
         key = ("route", w)
         route.append(tables.get(key) or tables.setdefault(key, make_tuple(lp, w)))
-    return core, *sides, route, bus, (bus_caps, core_caps, *caps)
+    return TupleSet(core, *sides, route, bus, bus_caps, core_caps, *caps)

@@ -56,6 +56,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from operator import itemgetter
 from random import Random
 from typing import Callable
 
@@ -479,13 +480,12 @@ class _Sim:
     def _build(self) -> None:
         arch, mp = self.arch, self.mapping
         tuples = mp.tuples
-        tasks_on_core = mp.placement.tasks_on_core
-        for inst in mp.instances:
-            # its owners at the TX adapter, on each link and at the RX adapter
-            self.routes[inst.key] = (
-                _Owner(), tuple(_Owner() for _ in inst.links), _Owner(),
-                inst.message.mem_demand, inst.flits,
-            )
+        tasks, tasks_on_core = self.spec.application.index, mp.placement.tasks_on_core
+        # each transfer's owners at the TX adapter, on each link and at the
+        # RX adapter, by position
+        routes = [(_Owner(), tuple(_Owner() for _ in links), _Owner(), m.mem_demand, flits)
+                  for m, _, _, _, links, _, flits in mp.transfers]
+        self.routes.update(zip(map(itemgetter(1), mp.transfers), routes))
 
         for tile, _, outbound, inbound in mp.placement.tiles:
             reserved = tile.id in mp.reserved_tiles
@@ -504,8 +504,8 @@ class _Sim:
                 unit = _Unit(step)
                 adapters.append(unit)
                 cap = self._sized(caps[tile.id], f"{tile.id} {'tx' if side == 0 else 'rx'}")
-                flows = [self.routes[i.key][side] for i in traffic
-                         for _ in range(tuples.route[i.key].weight)]
+                flows = [routes[i][side] for i in traffic
+                         for _ in range(tuples.route[i].weight)]
                 self._arbiter(self._fill(flows, cap), tuples.bus[tile.id].period,
                               pol_u.arb_delay, pol_u.work_conserving, unit.grant,
                               grant_phantoms=True)
@@ -526,7 +526,7 @@ class _Sim:
                     for t in tasks_on_core[core.id]:
                         jobs = _Owner()
                         self.masters[t] = (jobs, words)
-                        own += [jobs] * tuples.core[t].weight
+                        own += [jobs] * tuples.core[tasks[t]].weight
                     pol = core.policy
                     self._arbiter(self._fill(own, cap), pol.slot_len, pol.arb_delay,
                                   pol.work_conserving, self._core_grant)
@@ -545,12 +545,12 @@ class _Sim:
 
         # mesh links: one flit per cycle to the granted flow
         lp = arch.noc.link_policy
-        if any(inst.links for inst in mp.instances):
+        if any(links for *_, links, _, _ in mp.transfers):
             self._sized(lp.capacity, "link")
         flows_on_link: dict[str, list[_Owner]] = {}
-        for inst in mp.instances:
-            for link, owner in zip(inst.links, self.routes[inst.key][1]):
-                flows_on_link.setdefault(link, []).extend([owner] * tuples.route[inst.key].weight)
+        for (*_, links, _, _), (_, owners, *_), r in zip(mp.transfers, routes, tuples.route):
+            for link, owner in zip(links, owners):
+                flows_on_link.setdefault(link, []).extend([owner] * r.weight)
         for flows in flows_on_link.values():
             self._arbiter(self._fill(flows, lp.capacity), self.tau, 0,
                           lp.work_conserving, self._link_grant)
@@ -559,20 +559,19 @@ class _Sim:
     def _release_jobs(self) -> None:
         app = self.spec.application
         producers: dict[str, list] = {t.id: [] for t in app.tasks}
-        for inst in self.mapping.instances:
-            producers[inst.message.src].append(inst)
+        for transfer in self.mapping.transfers:
+            producers[transfer[0].src].append(transfer)
         jobs = self.cfg.jobs
         n_jobs: dict[str, int] = {}
         # Events the trial cannot do without: a release per job, a bus grant
         # per word a job or an adapter moves, a link grant per flit and link.
         least = 0
         for t in app.tasks:
-            ratios = [inst.message.period // t.period for inst in producers[t.id]]
+            ratios = [m.period // t.period for m, *_ in producers[t.id]]
             n = n_jobs[t.id] = max([jobs, *(jobs * r for r in ratios)])
             least += n * (1 + self.eff_md[t.id])
-            for inst, r in zip(producers[t.id], ratios):
-                words, flits = self.routes[inst.key][3:]
-                least += -(-n // r) * (2 * words + flits * len(inst.links))   # n / r packets
+            for (m, _, _, _, links, _, flits), r in zip(producers[t.id], ratios):
+                least += -(-n // r) * (2 * m.mem_demand + flits * len(links))  # n / r packets
         if least > self.cfg.max_events:
             raise SimHorizonExceeded(
                 f"simulation needs more than {self.cfg.max_events} events")
@@ -591,8 +590,7 @@ class _Sim:
             self.result.responses[t.id] = []
             for k in range(n_jobs[t.id]):
                 emits = tuple(
-                    inst.key for inst in producers[t.id]
-                    if (k * t.period) % inst.message.period == 0
+                    key for m, key, *_ in producers[t.id] if (k * t.period) % m.period == 0
                 )
                 job = _Job(
                     t.id, offset + k * t.period, wcet,
@@ -600,8 +598,8 @@ class _Sim:
                     *self.masters[t.id],
                 )
                 self.eng.push(job.release, self._release, job)
-        for inst in self.mapping.instances:
-            self.result.traversals[inst.key] = []
+        for _, key, *_ in self.mapping.transfers:
+            self.result.traversals[key] = []
 
     def _release(self, job: _Job, t: int) -> None:
         owner = job.owner

@@ -6,6 +6,7 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoexplore import simoracle
 from isoexplore.cli import main
@@ -537,3 +538,62 @@ def test_generate_explore_analyze_pipeline(tmp_path, capsys):
     analysis = json.loads((report / "analysis.json").read_text())
     assert analysis["objectives"] == docs[0]["objectives"]
     assert analysis["digest"] == docs[0]["digest"]
+
+
+# ------------------------------------------------------------ typed errors
+
+
+# One small, valid argument list per command. A budget flag whose default
+# is large is never dropped, and a mutated value is never larger than the
+# one it replaces, so no example asks for much work.
+FUZZ_ARGS = {
+    "analyze": ["--spec", "spec.json", "--mapping", "mapping.json", "--out-dir", "out",
+                "--format", "json"],
+    "explore": ["--spec", "spec.json", "--mode", "FixedCR", "--seed", "1",
+                "--iterations", "2", "--population", "4", "--offspring", "2",
+                "--out-dir", "out", "--format", "csv"],
+    "compare": ["--spec", "spec.json", "--seed", "1", "--reps", "1", "--iterations", "1",
+                "--population", "4", "--offspring", "2", "--out-dir", "out"],
+    "validate": ["--spec", "spec.json", "--mapping", "mapping.json", "--trials", "2",
+                 "--seed", "0", "--phantom-load", "max", "--jobs", "2", "--out-dir", "out"],
+    "generate": ["--profile", "networking", "--mesh", "2x1", "--seed", "3", "--tasks", "4",
+                 "--messages", "3", "--out", "gen.json"],
+}
+KEPT = {"--iterations", "--population", "--reps", "--trials"}
+BAD_VALUES = ("-1", "-7", "", "0", "x", "1.5", "2x", "nan")
+
+
+@st.composite
+def mutated_args(draw):
+    """A command's argument list after 1-3 edits, each dropping a flag (and
+    its value) or replacing a value with a negative, empty or ill-typed
+    one."""
+    command = draw(st.sampled_from(sorted(FUZZ_ARGS)))
+    pairs = [list(p) for p in zip(FUZZ_ARGS[command][::2], FUZZ_ARGS[command][1::2])]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        if pairs[i][0] not in KEPT and draw(st.booleans()):
+            del pairs[i]
+        else:
+            pairs[i][1] = draw(st.sampled_from(BAD_VALUES))
+    return [command, *(a for p in pairs for a in p)]
+
+
+def test_mutated_arguments_exit_with_a_typed_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(bundled_text("specs", "join_two_tile.json"))
+    (tmp_path / "mapping.json").write_text(
+        bundled_text("mappings", "join_two_tile_shared.json"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_args())
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejects the list
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), (argv, code, err)
+        assert "Traceback" not in err, argv
+
+    check()

@@ -84,7 +84,7 @@ def test_parse_and_decode_grow_linearly(shape):
         edges = edges_of(shape, n)
         count, result = count_opcodes(parse_and_decode, spec_text(n, edges))
         assert result.feasible, result.reason
-        assert result.instances          # transfers are routed and budgeted
+        assert result.transfers          # transfers are routed and budgeted
         per_unit.append(count / (n + len(edges)))
     assert per_unit[1] <= GROWTH * per_unit[0], per_unit
 

@@ -82,11 +82,13 @@ def test_effective_mem_demand_folds_local_messages(two_tile_spec):
 def test_shared_mapping_timing_golden(two_tile_shared):
     res = two_tile_shared
     assert res.feasible
-    # each weight is read from its tuple
-    assert {t: v.weight for t, v in res.tuples.core.items()} == {"t0": 3, "t1": 1, "t2": 2}
-    assert {k: v.weight for k, v in res.tuples.route.items()} == {("m1", "t2"): 1}
+    tasks = res.spec.application.index
+    keys = [key for _, key, *_ in res.transfers]
+    # each weight is read from its tuple, by position
+    assert dict(zip(tasks, (v.weight for v in res.tuples.core))) == {"t0": 3, "t1": 1, "t2": 2}
+    assert dict(zip(keys, (v.weight for v in res.tuples.route))) == {("m1", "t2"): 1}
     assert res.task_wcrt == {"t0": 38_000, "t1": 38_500, "t2": 45_500}
-    assert res.task_parts["t0"] == (3_000, 1_400, 12_600, 21_000)
+    assert res.task_terms[tasks["t0"]] == (3_000, 1_400, 12_600, 21_000)
     assert res.transfer_wctt == {("m1", "t2"): 128_240}
     assert res.makespan == 212_240
     assert res.objectives[0] == 212_240
@@ -95,10 +97,11 @@ def test_shared_mapping_timing_golden(two_tile_shared):
 
 
 def test_parts_always_sum_to_totals(two_tile_shared):
-    for t, total in two_tile_shared.task_wcrt.items():
-        assert sum(two_tile_shared.task_parts[t]) == total
-    for key, total in two_tile_shared.transfer_wctt.items():
-        assert sum(two_tile_shared.transfer_parts[key]) == total
+    res = two_tile_shared
+    tasks = zip(res.spec.application.index, res.task_terms, strict=True)
+    assert {t: sum(parts) for t, parts in tasks} == res.task_wcrt
+    transfers = zip(res.transfers, res.transfer_terms, strict=True)
+    assert {key: sum(parts) for (_, key, *_), parts in transfers} == res.transfer_wctt
 
 
 SPECS = {p: generate_spec(p, mesh=(4, 4), seed=1) for p in ("consumer", "networking")}
@@ -116,16 +119,16 @@ def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
     app = spec.application
     eff = dict(zip(app.index, effective_mem_demand(
         app, [arch.tile_id_of[res.bindings[t.id]] for t in app.tasks])[0]))
-    for t in spec.application.tasks:
+    for i, t in enumerate(spec.application.tasks):
         core = arch.core(res.bindings[t.id])
-        bus, ct = res.tuples.bus[core.tile_id], res.tuples.core[t.id]
+        bus, ct = res.tuples.bus[core.tile_id], res.tuples.core[i]
         assert res.task_wcrt[t.id] == kernels.task_response(
             t.wcet[core.core_type], eff[t.id], arch.tile(core.tile_id).memory.service_time,
             bus.slot_len, bus.weight, bus.period, ct.slot_len, ct.weight, ct.period)
-        assert res.task_wcrt[t.id] == sum(res.task_parts[t.id])
-    assert res.transfer_wctt.keys() == {i.key for i in res.instances}
-    for key, total in res.transfer_wctt.items():
-        assert total == sum(res.transfer_parts[key])
+        assert res.task_wcrt[t.id] == sum(res.task_terms[i])
+    assert list(res.transfer_wctt) == [key for _, key, *_ in res.transfers]
+    for (_, key, *_), parts in zip(res.transfers, res.transfer_terms):
+        assert res.transfer_wctt[key] == sum(parts)
 
 
 def test_throughput_matches_slowest_stage(two_tile_shared):
@@ -571,8 +574,7 @@ def test_dead_references_are_misses():
 # ------------------------------------------------------------- derived views
 
 
-VIEWS = ("schemes", "instances", "placement", "tuples",
-         "task_wcrt", "task_parts", "transfer_parts", "transfer_wctt")
+VIEWS = ("schemes", "placement", "task_wcrt", "transfer_wctt")
 
 
 def test_explore_derives_no_view(monkeypatch):

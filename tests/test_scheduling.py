@@ -3,7 +3,6 @@
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -15,7 +14,6 @@ from isoexplore.mapping import decode, edge_record, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.scheduling import (
     IsolationScheme,
-    TupleSet,
     bus_master_tuple,
     check_feasibility,
     extended_bus_policy,
@@ -84,20 +82,6 @@ def make_spec(*, work_conserving=True, bus_capacity=4, core_capacity=5,
         ],
     }
     return parse_spec(json.dumps(doc))
-
-
-@dataclass
-class Inst:
-    """Just the routed-transfer attributes the budgeting layer reads."""
-
-    key: tuple[str, str]
-    src_tile: str
-    dst_tile: str
-    links: tuple[str, ...]
-
-
-def make_inst(spec, links=("0,0->1,0",)):
-    return Inst((spec.application.messages[0].id, "b"), "t0", "t1", tuple(links))
 
 
 def make_transfer(spec, links=("0,0->1,0",), src="a"):
@@ -288,13 +272,13 @@ def test_check_feasibility_link_overload_is_per_link():
 
 def test_place_groups_by_core_and_hosting_tile():
     spec = make_spec()
-    inst = make_inst(spec)
-    p = place(spec, {"b": "t1.c1", "a": "t0.c0"}, [inst])
+    p = place(spec, {"b": "t1.c1", "a": "t0.c0"}, [make_transfer(spec)])
     assert p.tasks_on_core == {"t0.c0": ("a",), "t1.c1": ("b",)}   # declaration order
     arch = spec.architecture
     t0, t1 = arch.tile("t0"), arch.tile("t1")
-    assert p.tiles == ((t0, (arch.core("t0.c0"),), (inst,), ()),
-                       (t1, (arch.core("t1.c1"),), (), (inst,)))
+    # Each tile lists its outbound and inbound transfers by position.
+    assert p.tiles == ((t0, (arch.core("t0.c0"),), (0,), ()),
+                       (t1, (arch.core("t1.c1"),), (), (0,)))
     # A tile that hosts nothing has no entry; hosting cores are in tile order.
     p = place(spec, {"a": "t0.c1", "b": "t0.c0"}, [])
     assert p.tasks_on_core == {"t0.c1": ("a",), "t0.c0": ("b",)}
@@ -308,8 +292,9 @@ CS, CR, TR = IsolationScheme
 
 
 def refined(spec, a=CS, b=CS):
-    """Refinement of task a on t0.c0 and b on t1.c1, each core under the
-    scheme given for its task."""
+    """Refinement of task a (position 0) on t0.c0 and b (position 1) on
+    t1.c1, each core under the scheme given for its task, with transfer 0
+    from a to b."""
     bindings = {"a": "t0.c0", "b": "t1.c1"}
     edges = [edge_record(spec, 0, 0), edge_record(spec, 1, 0)]
     transfers = [make_transfer(spec)]
@@ -319,11 +304,8 @@ def refined(spec, a=CS, b=CS):
     schemes = {"t0.c0": a, "t1.c1": b}
     reserved = ({c for c, s in schemes.items() if s is CR},
                 {c.split(".")[0] for c, s in schemes.items() if s is TR})
-    core, tx, rx, route, bus, caps = refine_tuples(
-        spec, edges, transfers, task_weights, transfer_weights, reserved, loads)
-    key = ("m", "b")
-    return TupleSet(dict(zip("ab", core)), bus, {key: tx[0]}, {key: rx[0]}, {key: route[0]},
-                    *caps)
+    return refine_tuples(spec, edges, transfers, task_weights, transfer_weights, reserved,
+                         loads)
 
 
 def test_refine_defaults_keep_full_capacity():
@@ -334,12 +316,12 @@ def test_refine_defaults_keep_full_capacity():
     assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
     assert ts.bus == {"t0": ArbitrationTuple(100, 1, 420), "t1": ArbitrationTuple(100, 1, 420)}
     core = extended_core_policy(spec.architecture.tile("t0"))
-    assert ts.core["a"] == ArbitrationTuple(
+    assert ts.core[0] == ArbitrationTuple(
         core.slot_len, 2, 5 * (core.slot_len + core.arb_delay))
     # Adapter slots equal the extended bus period of their side.
-    assert ts.tx[("m", "b")] == ArbitrationTuple(420, 1, 4 * 420)
-    assert ts.rx[("m", "b")] == ArbitrationTuple(420, 1, 4 * 420)
-    assert ts.route[("m", "b")] == ArbitrationTuple(10, 1, 40)
+    assert ts.tx[0] == ArbitrationTuple(420, 1, 4 * 420)
+    assert ts.rx[0] == ArbitrationTuple(420, 1, 4 * 420)
+    assert ts.route[0] == ArbitrationTuple(10, 1, 40)
 
 
 def test_refine_exclusive_core_shrinks_cycle():
@@ -347,8 +329,8 @@ def test_refine_exclusive_core_shrinks_cycle():
     ts = refined(spec, a=CR)
     core = extended_core_policy(spec.architecture.tile("t0"))
     assert ts.core_capacity["t0.c0"] == 2
-    assert ts.core["a"].period == 2 * (core.slot_len + core.arb_delay)
-    a = ts.core["a"]
+    assert ts.core[0].period == 2 * (core.slot_len + core.arb_delay)
+    a = ts.core[0]
     assert a.period - a.weight * a.slot_len == 2 * core.arb_delay  # only the handoffs
     assert ts.core_capacity["t1.c1"] == 5   # untouched elsewhere
     assert (ts.bus_capacity, ts.tx_capacity) == ({"t0": 4, "t1": 4}, {"t0": 4})
@@ -362,17 +344,17 @@ def test_refine_reserved_tile_drops_idle_bus_slots():
     assert ts.bus["t0"].period == 3 * 105
     # TX cycle shrinks to allocated traffic; slots follow the shorter bus.
     assert ts.tx_capacity["t0"] == 1
-    assert ts.tx[("m", "b")] == ArbitrationTuple(315, 1, 315)
+    assert ts.tx[0] == ArbitrationTuple(315, 1, 315)
     # Destination tile is untouched.
     assert ts.bus_capacity["t1"] == 4
     assert ts.rx_capacity["t1"] == 4
-    assert ts.rx[("m", "b")].period == 4 * 420
+    assert ts.rx[0].period == 4 * 420
 
 
 def test_refine_never_shrinks_links():
     spec = make_spec()
     ts = refined(spec, a=TR, b=TR)
-    assert ts.route[("m", "b")] == ArbitrationTuple(10, 1, 40)
+    assert ts.route[0] == ArbitrationTuple(10, 1, 40)
 
 
 def test_refine_ignores_reductions_without_work_conservation():
@@ -381,14 +363,14 @@ def test_refine_ignores_reductions_without_work_conservation():
     assert ts.bus_capacity == {"t0": 4, "t1": 4}
     assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
     assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
-    assert ts.tx[("m", "b")].period == 4 * 420
-    assert ts.rx[("m", "b")].period == 4 * 420
+    assert ts.tx[0].period == 4 * 420
+    assert ts.rx[0].period == 4 * 420
 
 
 def test_refine_reduction_tightens_every_wait():
     spec = make_spec()
     base = refined(spec)
     tight = refined(spec, a=TR)
-    for kind, key in (("core", "a"), ("bus", "t0"), ("tx", ("m", "b"))):
+    for kind, key in (("core", 0), ("bus", "t0"), ("tx", 0)):
         t, b = getattr(tight, kind)[key], getattr(base, kind)[key]
         assert t.period - t.weight * t.slot_len <= b.period - b.weight * b.slot_len

@@ -10,7 +10,7 @@ import pytest
 
 from isoexplore import generate_spec
 from isoexplore.errors import BoundViolation, DomainError, SimHorizonExceeded
-from isoexplore.mapping import from_bindings, random_genotype, decode
+from isoexplore.mapping import ExplorationMode, decode, from_bindings, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.simoracle import (
     PATTERNS,
@@ -475,3 +475,27 @@ def test_simulate_corpus_golden():
                 )).encode())
         digest.update(repr(adversarial_sweep(spec, mapping, trials=2).rows()).encode())
     assert digest.hexdigest() == CORPUS_SHA1
+
+
+def test_trials_of_results_read_late_match_a_fresh_decode():
+    # Every result is kept and simulated only after all are decoded: the
+    # simulator reads the transfers and tuples by position, and must not
+    # depend on what later decodes left in the spec's tables.
+    text = emit_spec(generate_spec("networking", (2, 2), 0))
+    warm = parse_spec(text)
+    rng = Random(5)
+    kept = [(g, mode, decode(warm, g, mode))
+            for g in [random_genotype(warm, rng) for _ in range(20)]
+            for mode in ExplorationMode]
+    trials = 0
+    for g, mode, res in kept:
+        if not res.feasible:
+            continue
+        cfg = TrialConfig(seed=trials, jitter=True, pattern="mix", phantom_load="random")
+        fresh_spec = parse_spec(text)
+        late = simulate(warm, res, cfg)
+        fresh = simulate(fresh_spec, decode(fresh_spec, g, mode), cfg)
+        assert (late.responses, late.traversals, late.events, late.makespan) == \
+            (fresh.responses, fresh.traversals, fresh.events, fresh.makespan)
+        trials += 1
+    assert trials >= 40

@@ -52,6 +52,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _dir_name(text: str) -> str:
+    if not text:        # "" would name the working directory
+        raise argparse.ArgumentTypeError("must name a directory, not be empty")
+    return text
+
+
 def _out_dir(args) -> Path | None:
     if args.out_dir is None:
         return None
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--spec", required=True, help="problem JSON")
     analyze.add_argument("--mapping", required=True, help="mapping JSON")
-    analyze.add_argument("--out-dir", default=None)
+    analyze.add_argument("--out-dir", type=_dir_name, default=None)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--iterations", type=int, default=200)
     exp.add_argument("--population", type=int, default=100)
     exp.add_argument("--offspring", type=int, default=25)
-    exp.add_argument("--out-dir", default=None)
+    exp.add_argument("--out-dir", type=_dir_name, default=None)
     exp.add_argument("--format", choices=("csv", "json"), default="csv")
     exp.set_defaults(func=_cmd_explore)
 
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--iterations", type=int, default=200)
     cmp_.add_argument("--population", type=int, default=100)
     cmp_.add_argument("--offspring", type=int, default=25)
-    cmp_.add_argument("--out-dir", default=None)
+    cmp_.add_argument("--out-dir", type=_dir_name, default=None)
     cmp_.set_defaults(func=_cmd_compare)
 
     val = sub.add_parser(
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--phantom-load", choices=PHANTOM_LOADS, default=None)
     val.add_argument("--jobs", type=int, default=2)
-    val.add_argument("--out-dir", default=None)
+    val.add_argument("--out-dir", type=_dir_name, default=None)
     val.add_argument(
         "--selftest-corrupt-bounds",
         action="store_true",

@@ -92,18 +92,18 @@ class MappingResult:
     them. A result is feasible when it has no `reason`.
 
     A decode sets the fields: the reason or the objectives, and the
-    per-position arrays. `transfers` are `route_instances`' tuples; a
-    feasible result's `tuples` and `transfer_terms` follow their order,
-    and `task_terms` the order of the tasks. A task's weight is read from
-    its core tuple, a transfer's from its route tuple. The views below are
-    derived from the arrays on first read: `to_doc`, the simulator and the
-    CLI read them."""
+    per-position arrays. `edges` are the tasks' bound `Edge`s, `transfers`
+    `route_instances`' tuples; a feasible result's `task_terms` follow the
+    tasks, its `tuples` and `transfer_terms` the transfers. A task's weight
+    is read from its core tuple, a transfer's from its route tuple. The
+    views below are derived from the arrays on first read."""
 
     mode: ExplorationMode
     bindings: dict[str, str]
     reserved_cores: frozenset[str]          # effective (masked) core flags
     reserved_tiles: frozenset[str]          # effective (masked) tile flags
     spec: ProblemSpec = field(repr=False, compare=False)
+    edges: list[Edge] = field(repr=False, compare=False)    # per task, as bound
     transfers: tuple[tuple, ...]            # `route_instances`, in routing order
     reason: str | None = None
     tuples: TupleSet | None = None          # `scheduling.refine_tuples`
@@ -131,17 +131,16 @@ class MappingResult:
     @cached_property
     def schemes(self) -> dict[str, IsolationScheme]:
         """The isolation scheme of each hosting core, in id order."""
-        tile_of = self.spec.architecture.tile_id_of
         return {
-            c: IsolationScheme.TILE_RESERVATION if tile_of[c] in self.reserved_tiles
-            else IsolationScheme.CORE_RESERVATION if c in self.reserved_cores
+            e.core_id: IsolationScheme.TILE_RESERVATION if e.tile_id in self.reserved_tiles
+            else IsolationScheme.CORE_RESERVATION if e.core_id in self.reserved_cores
             else IsolationScheme.CORE_SHARING
-            for c in sorted(set(self.bindings.values()))
+            for e in sorted(self.edges, key=_CORE_ID)
         }
 
     @cached_property
     def placement(self) -> Placement:
-        return scheduling.place(self.spec, self.bindings, self.transfers)
+        return scheduling.place(self.spec.application, self.edges, self.transfers)
 
     @cached_property
     def task_wcrt(self) -> dict[str, int]:
@@ -163,7 +162,7 @@ class MappingResult:
             },
             "tile_flags": {
                 t: ("reserved" if t in self.reserved_tiles else "shared")
-                for t in sorted(tile.id for tile, *_ in self.placement.tiles)
+                for t in sorted(set(map(_TILE_ID, self.edges)))
             },
             "schemes": {c: s.short for c, s in sorted(self.schemes.items())},
         }
@@ -377,12 +376,11 @@ def _build(
     it and so decides which overloaded core the reason names."""
     arch = spec.architecture
     app = spec.application
-    tile_of = arch.tile_id_of
     tables = spec.tables
-    hosting = set(bindings.values())
-    reserved_tiles = frozenset(set(map(tile_of.__getitem__, hosting)) & flagged_tiles)
+    hosting = dict(zip(map(_CORE_ID, edges), edges))    # each bound core's edge
+    reserved_tiles = frozenset(set(map(_TILE_ID, hosting.values())) & flagged_tiles)
     reserved_cores = frozenset(
-        c for c in hosting & flagged_cores if tile_of[c] not in reserved_tiles)
+        c for c in hosting.keys() & flagged_cores if hosting[c].tile_id not in reserved_tiles)
     results = tables.get(_RESULTS)
     if results is None:
         results = tables[_RESULTS] = weakref.WeakValueDictionary()
@@ -394,7 +392,7 @@ def _build(
     # One walk over the tasks and one over the transfers, by position.
     eff_md, remote = effective_mem_demand(app, list(map(_TILE_ID, edges)))
     transfers = route_instances(spec, edges, remote)
-    fields = (mode, bindings, reserved_cores, reserved_tiles, spec, transfers)
+    fields = (mode, bindings, reserved_cores, reserved_tiles, spec, edges, transfers)
     task_weights, transfer_weights = [], []
     # A weight is looked up before the search's arguments are evaluated;
     # no stored weight is 0 and no stored reason is empty.
@@ -449,8 +447,7 @@ def _build(
         makespan = timing.makespan(app, wcrt, wctt)
         throughput = timing.throughput(wcrt, wctt.values())
 
-        hosts = sorted(dict(zip(map(_CORE_ID, edges), edges)).values(), key=_RANK)
-        usage = resource_usage(hosts, reserved, loads[0])
+        usage = resource_usage(sorted(hosting.values(), key=_RANK), reserved, loads[0])
         result = MappingResult(
             *fields, None, tuples, task_terms, transfer_terms, makespan, throughput,
             (makespan, usage, energy(spec, edges, transfers, usage)))

@@ -369,16 +369,6 @@ class ArchitectureGraph:
         return tuple(c for t in self.tiles for c in t.cores)
 
     @cached_property
-    def tile_id_of(self) -> dict[str, str]:
-        """Core id -> id of the tile that holds the core."""
-        return {c.id: t.id for t in self.tiles for c in t.cores}
-
-    @cached_property
-    def tile_index(self) -> dict[str, int]:
-        """Tile id -> position of the tile in `tiles`."""
-        return {t.id: i for i, t in enumerate(self.tiles)}
-
-    @cached_property
     def core_index(self) -> dict[str, int]:
         """Core id -> position of the core in `cores` (architecture order)."""
         return {c: i for i, c in enumerate(self._cores_by_id)}

@@ -25,7 +25,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Sequence
 from . import kernels, timing
 from .arbitration import ArbitrationPolicy, ArbitrationTuple, make_tuple, reduce_capacity
 from .errors import Infeasible
-from .model import Core, NocConfig, ProblemSpec, Tile
+from .model import ApplicationGraph, Core, NocConfig, ProblemSpec, Tile
 
 InstanceKey = tuple[str, str]  # (message id, consumer task id)
 
@@ -150,27 +150,25 @@ class Placement:
     tiles: tuple[tuple[Tile, tuple[Core, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
-def place(spec: ProblemSpec, bindings: Mapping[str, str], transfers: Sequence[tuple]) -> Placement:
-    """Group a complete binding and its routed transfers (those of
-    `mapping.route_instances`) by core and tile."""
+def place(app: ApplicationGraph, edges: Sequence[Edge], transfers: Sequence[tuple]) -> Placement:
+    """Group a complete binding, each task's bound `Edge` in task order, and
+    its routed transfers (those of `mapping.route_instances`) by core and tile."""
     tasks_on_core: dict[str, list[str]] = {}
-    for t in spec.application.tasks:
-        tasks_on_core.setdefault(bindings[t.id], []).append(t.id)
+    for t, e in zip(app.index, edges):
+        tasks_on_core.setdefault(e.core_id, []).append(t)
     out_of: dict[str, list[int]] = {}
     in_of: dict[str, list[int]] = {}
     for i, (_, _, src, dst, *_) in enumerate(transfers):
         out_of.setdefault(src.tile_id, []).append(i)
         in_of.setdefault(dst.tile_id, []).append(i)
-    # Every result keeps its placement, so it holds tuples, which are
-    # smaller than the lists they are built from.
-    arch = spec.architecture
-    tiles = []
-    for tid in sorted({arch.tile_id_of[c] for c in tasks_on_core}, key=arch.tile_index.get):
-        tile = arch.tile(tid)
-        tiles.append((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
-                      tuple(out_of.get(tid, ())), tuple(in_of.get(tid, ()))))
-    return Placement({c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
-                     tuple(tiles))
+    # By core rank, the hosting tiles come in architecture order. Every result
+    # keeps its placement, so it holds tuples, which are smaller than lists.
+    tiles = {e.tile_id: e.tile for e in sorted(edges, key=attrgetter("rank"))}
+    return Placement(
+        {c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
+        tuple((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
+               tuple(out_of.get(tid, ())), tuple(in_of.get(tid, ())))
+              for tid, tile in tiles.items()))
 
 
 class Edge(NamedTuple):

@@ -445,9 +445,9 @@ class _Sim:
         self.tau = self.arch.noc.tau
         self.result = TrialResult(responses={}, traversals={})
 
-        app, tile_of = spec.application, self.arch.tile_id_of
+        app, core = spec.application, self.arch.core
         self.eff_md = dict(zip(app.index, effective_mem_demand(
-            app, [tile_of[mapping.bindings[t.id]] for t in app.tasks])[0]))
+            app, [core(mapping.bindings[t.id]).tile_id for t in app.tasks])[0]))
         self.masters: dict[str, tuple[_Owner, _Owner]] = {}  # task -> jobs, core's words
         self.routes: dict[InstanceKey, tuple] = {}   # transfer -> tx, links, rx, words, flits
         self.arbiters: list[_SlotArbiter] = []

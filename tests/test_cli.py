@@ -597,3 +597,20 @@ def test_mutated_arguments_exit_with_a_typed_code(tmp_path, monkeypatch, capsys)
         assert "Traceback" not in err, argv
 
     check()
+
+
+@pytest.mark.parametrize("command", ["analyze", "explore", "compare", "validate"])
+def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    # An empty --out-dir would name the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(bundled_text("specs", "join_two_tile.json"))
+    (tmp_path / "mapping.json").write_text(
+        bundled_text("mappings", "join_two_tile_shared.json"))
+    argv = [command, *FUZZ_ARGS[command]]
+    argv[argv.index("--out-dir") + 1] = ""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out-dir" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mapping.json", "spec.json"]

@@ -109,6 +109,23 @@ def test_decode_work_follows_the_binding_not_the_platform(mode):
     assert counts[1] <= PLATFORM_GROWTH * counts[0], counts
 
 
+def test_first_decode_on_a_fresh_spec_follows_the_binding_not_the_platform():
+    """The first decode of one binding on a freshly parsed consumer 2x2 and
+    8x8 spec, whose 8x8 has 16 times the cores and the mapping edges. The
+    spec builds the record of an edge when a decode first binds it: built
+    for every edge at once, the 8x8 decode counts about 8.7 times the 2x2."""
+    counts = []
+    for mesh in ((2, 2), (8, 8)):
+        spec = parse_spec(emit_spec(generate_spec("consumer", mesh, 0)))
+        arch = spec.architecture
+        genotype = Genotype(tuple(i % 8 for i in range(len(spec.application.tasks))),
+                            (1,) * len(arch.cores), (1,) * len(arch.tiles))
+        count, result = count_opcodes(decode, spec, genotype, ExplorationMode.ISOLATION_AWARE)
+        assert result.feasible, result.reason
+        counts.append(count)
+    assert counts[1] <= GROWTH * counts[0], counts
+
+
 def test_parse_work_per_mapping_edge_does_not_grow():
     """One application whose every task may run on every core, on a
     consumer 2x2 and an 8x8 mesh: 16 times the tiles and the mapping edges.

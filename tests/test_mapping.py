@@ -29,6 +29,7 @@ from isoexplore.mapping import (
 )
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
+from isoexplore.scheduling import Placement
 
 from conftest import bundled_text, tight_spec_text
 from test_model import JSON_VALUES, paths_in
@@ -69,7 +70,7 @@ def test_route_instances_skips_local_consumers(two_tile_spec):
 def test_effective_mem_demand_folds_local_messages(two_tile_spec):
     app = two_tile_spec.application
     arch = two_tile_spec.architecture
-    eff, remote = effective_mem_demand(app, [arch.tile_id_of[SHARED[t.id]] for t in app.tasks])
+    eff, remote = effective_mem_demand(app, [arch.core(SHARED[t.id]).tile_id for t in app.tasks])
     # m0 (md 6) is local: producer t0 writes it, consumer t2 re-reads it.
     # m1 is remote: adapters carry it, no task-side traffic.
     assert dict(zip(app.index, eff)) == {"t0": 8 + 6, "t1": 4, "t2": 6 + 6}
@@ -118,7 +119,7 @@ def test_decoded_bounds_match_the_kernel_on_refined_tuples(profile, mode, seed):
         return
     app = spec.application
     eff = dict(zip(app.index, effective_mem_demand(
-        app, [arch.tile_id_of[res.bindings[t.id]] for t in app.tasks])[0]))
+        app, [arch.core(res.bindings[t.id]).tile_id for t in app.tasks])[0]))
     for i, t in enumerate(spec.application.tasks):
         core = arch.core(res.bindings[t.id])
         bus, ct = res.tuples.bus[core.tile_id], res.tuples.core[i]
@@ -168,6 +169,96 @@ def test_core_flag_masked_on_reserved_tile(two_tile_spec):
 
 def test_scheme_shorthand():
     assert IsolationScheme.CORE_SHARING.short == "CS"
+
+
+def reference_views(spec, bindings, transfers, flagged_cores, flagged_tiles):
+    """(schemes, placement, reserved cores, reserved tiles) of a binding,
+    derived from the core ids in `bindings` and `arch.core(c).tile_id`
+    alone, without the edge records that the product reads. A transfer's
+    ends are its message's producer and its consumer."""
+    arch = spec.architecture
+    tile_of = {c: arch.core(c).tile_id for c in bindings.values()}
+    hosting = set(bindings.values())
+    reserved_tiles = frozenset({tile_of[c] for c in hosting} & set(flagged_tiles))
+    reserved_cores = frozenset(
+        c for c in hosting & set(flagged_cores) if tile_of[c] not in reserved_tiles)
+    schemes = {
+        c: IsolationScheme.TILE_RESERVATION if tile_of[c] in reserved_tiles
+        else IsolationScheme.CORE_RESERVATION if c in reserved_cores
+        else IsolationScheme.CORE_SHARING
+        for c in sorted(hosting)
+    }
+    tasks_on_core = {}
+    for t in spec.application.tasks:
+        tasks_on_core.setdefault(bindings[t.id], []).append(t.id)
+    out_of, in_of = {}, {}
+    for i, (m, (_, consumer), *_) in enumerate(transfers):
+        out_of.setdefault(tile_of[bindings[m.src]], []).append(i)
+        in_of.setdefault(tile_of[bindings[consumer]], []).append(i)
+    tile_index = {t.id: i for i, t in enumerate(arch.tiles)}
+    tiles = []
+    for tid in sorted({tile_of[c] for c in tasks_on_core}, key=tile_index.get):
+        tile = arch.tile(tid)
+        tiles.append((tile, tuple(c for c in tile.cores if c.id in tasks_on_core),
+                      tuple(out_of.get(tid, ())), tuple(in_of.get(tid, ()))))
+    placement = Placement({c: tuple(tasks_on_core[c]) for c in sorted(tasks_on_core)},
+                          tuple(tiles))
+    return schemes, placement, reserved_cores, reserved_tiles
+
+
+def assert_views_match_the_reference(res, flagged_cores, flagged_tiles):
+    schemes, placement, cores, tiles = reference_views(
+        res.spec, res.bindings, res.transfers, flagged_cores, flagged_tiles)
+    assert list(res.schemes.items()) == list(schemes.items())
+    assert res.placement == placement
+    assert list(res.placement.tasks_on_core) == list(placement.tasks_on_core)
+    assert (res.reserved_cores, res.reserved_tiles) == (cores, tiles)
+
+
+def genotype_flags(spec, genotype, mode):
+    """The core and tile ids that `mode` and `genotype` flag, before masking."""
+    cores = [c.id for c in spec.architecture.cores]
+    tiles = [t.id for t in spec.architecture.tiles]
+    if mode is ExplorationMode.FIXED_CS:
+        return [], []
+    if mode is ExplorationMode.FIXED_CR:
+        return cores, []
+    if mode is ExplorationMode.FIXED_TR:
+        return [], tiles
+    return ([c for c, f in zip(cores, genotype.core_flags) if f],
+            [t for t, f in zip(tiles, genotype.tile_flags) if f])
+
+
+REFERENCE_SPECS = {f"{p} {w}x{w}": generate_spec(p, (w, w), 2)
+                   for p in ("networking", "consumer") for w in (2, 3)}
+REFERENCE_SPECS["tight networking 2x2"] = parse_spec(tight_spec_text())
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_views_and_flags_match_a_derivation_from_bindings(name):
+    # Decodes in all four modes, feasible or not (the tight spec's mostly
+    # not), then documents of the same bindings in reversed task order
+    # whose flags name idle cores and tiles too.
+    spec = REFERENCE_SPECS[name]
+    arch = spec.architecture
+    rng = Random(23)
+    results = []
+    for i in range(40):
+        g = random_genotype(spec, rng)
+        mode = list(ExplorationMode)[i % 4]
+        results.append(decode(spec, g, mode))
+        assert_views_match_the_reference(results[-1], *genotype_flags(spec, g, mode))
+    for res in results[:20]:
+        cores = {c.id for c in arch.cores if rng.random() < 0.5}
+        tiles = {t.id for t in arch.tiles if rng.random() < 0.5}
+        doc = {"bindings": dict(reversed(res.bindings.items())),
+               "core_flags": {c.id: "reserved" if c.id in cores else "shared"
+                              for c in arch.cores},
+               "tile_flags": {t.id: "reserved" if t.id in tiles else "shared"
+                              for t in arch.tiles}}
+        loaded = load_mapping_doc(spec, doc)
+        assert list(loaded.bindings) == list(reversed(res.bindings))
+        assert_views_match_the_reference(loaded, cores, tiles)
     assert IsolationScheme.CORE_RESERVATION.short == "CR"
     assert IsolationScheme.TILE_RESERVATION.short == "TR"
 

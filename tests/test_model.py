@@ -139,7 +139,8 @@ def test_flits_for_payload():
 def test_architecture_lookups():
     arch = parse(minimal_doc()).architecture
     assert [c.id for c in arch.cores] == ["t0.c0", "t0.c1", "t1.c0", "t1.c1"]
-    assert arch.tile_id_of == {"t0.c0": "t0", "t0.c1": "t0", "t1.c0": "t1", "t1.c1": "t1"}
+    assert {c.id: arch.core(c.id).tile_id for c in arch.cores} == {
+        "t0.c0": "t0", "t0.c1": "t0", "t1.c0": "t1", "t1.c1": "t1"}
 
 
 def test_edges_of_preserves_declaration_order():

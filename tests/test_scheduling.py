@@ -10,7 +10,7 @@ import pytest
 from isoexplore import generate_spec, kernels, scheduling
 from isoexplore.arbitration import ArbitrationTuple, make_tuple
 from isoexplore.errors import Infeasible
-from isoexplore.mapping import decode, edge_record, random_genotype
+from isoexplore.mapping import _edge, decode, edge_record, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 from isoexplore.scheduling import (
     IsolationScheme,
@@ -270,9 +270,15 @@ def test_check_feasibility_link_overload_is_per_link():
 # ------------------------------------------------------------------ placement
 
 
+def bound_edges(spec, bindings):
+    """Each task's `Edge` to the core `bindings` names, in task order."""
+    return [_edge(spec, t, bindings[t.id]) for t in spec.application.tasks]
+
+
 def test_place_groups_by_core_and_hosting_tile():
     spec = make_spec()
-    p = place(spec, {"b": "t1.c1", "a": "t0.c0"}, [make_transfer(spec)])
+    app = spec.application
+    p = place(app, bound_edges(spec, {"b": "t1.c1", "a": "t0.c0"}), [make_transfer(spec)])
     assert p.tasks_on_core == {"t0.c0": ("a",), "t1.c1": ("b",)}   # declaration order
     arch = spec.architecture
     t0, t1 = arch.tile("t0"), arch.tile("t1")
@@ -280,7 +286,7 @@ def test_place_groups_by_core_and_hosting_tile():
     assert p.tiles == ((t0, (arch.core("t0.c0"),), (0,), ()),
                        (t1, (arch.core("t1.c1"),), (), (0,)))
     # A tile that hosts nothing has no entry; hosting cores are in tile order.
-    p = place(spec, {"a": "t0.c1", "b": "t0.c0"}, [])
+    p = place(app, bound_edges(spec, {"a": "t0.c1", "b": "t0.c0"}), [])
     assert p.tasks_on_core == {"t0.c1": ("a",), "t0.c0": ("b",)}
     assert p.tiles == ((t0, t0.cores, (), ()),)
 

@@ -169,6 +169,8 @@ def test_core_flag_masked_on_reserved_tile(two_tile_spec):
 
 def test_scheme_shorthand():
     assert IsolationScheme.CORE_SHARING.short == "CS"
+    assert IsolationScheme.CORE_RESERVATION.short == "CR"
+    assert IsolationScheme.TILE_RESERVATION.short == "TR"
 
 
 def reference_views(spec, bindings, transfers, flagged_cores, flagged_tiles):
@@ -259,8 +261,6 @@ def test_views_and_flags_match_a_derivation_from_bindings(name):
         loaded = load_mapping_doc(spec, doc)
         assert list(loaded.bindings) == list(reversed(res.bindings))
         assert_views_match_the_reference(loaded, cores, tiles)
-    assert IsolationScheme.CORE_RESERVATION.short == "CR"
-    assert IsolationScheme.TILE_RESERVATION.short == "TR"
 
 
 def test_isolation_tightens_bounds(two_tile_spec):

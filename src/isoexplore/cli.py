@@ -52,9 +52,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _dir_name(text: str) -> str:
-    if not text:        # "" would name the working directory
-        raise argparse.ArgumentTypeError("must name a directory, not be empty")
+def _path(text: str) -> str:
+    if not text:        # "" would name the working directory, or stdout for --out
+        raise argparse.ArgumentTypeError("must name a path, not be empty")
     return text
 
 
@@ -66,26 +66,14 @@ def _out_dir(args) -> Path | None:
     return path
 
 
-def _manifest(args, **extra) -> dict:
-    arguments = {
-        k: v for k, v in vars(args).items() if k != "func" and not callable(v)
-    }
-    return {"tool": "isoexplore", "arguments": arguments, **extra}
+def _write_manifest(out: Path, args, **extra) -> None:
+    arguments = {k: v for k, v in vars(args).items() if not callable(v)}
+    doc = {"tool": "isoexplore", "command": args.command, "arguments": arguments}
+    _write_json(out / "manifest.json", {**doc, **extra})
 
 
 def _load_mapping(args, spec) -> MappingResult:
     return load_mapping_doc(spec, parse_json(read_document(args.mapping)))
-
-
-def _archive_entries(archive) -> list[MappingResult]:
-    return sorted(archive, key=lambda m: (m.objectives, m.digest))
-
-
-def _archive_rows(entries: list[MappingResult]) -> list[list]:
-    return [
-        [m.objectives[0], m.objectives[1], m.objectives[2], m.digest]
-        for m in entries
-    ]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -105,7 +93,7 @@ def _cmd_analyze(args) -> int:
                 for k, b in sorted(result.transfer_wctt.items())
             ]
             _write_csv(out / "timing.csv", ["kind", "id", "bound_ns"], rows)
-        _write_json(out / "manifest.json", _manifest(args, command="analyze"))
+        _write_manifest(out, args)
     else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -126,7 +114,7 @@ def _cmd_explore(args) -> int:
         population=args.population,
         offspring=args.offspring,
     )
-    entries = _archive_entries(result.archive)
+    entries = sorted(result.archive, key=lambda m: (m.objectives, m.digest))
     print(
         f"{mode.value}: {len(entries)} non-dominated mappings from "
         f"{result.evaluations} evaluations in {result.wallclock_s:.1f}s"
@@ -144,26 +132,12 @@ def _cmd_explore(args) -> int:
             _write_csv(
                 out / "archive.csv",
                 ["latency_ns", "cores", "energy", "digest"],
-                _archive_rows(entries),
+                [[*m.objectives, m.digest] for m in entries],
             )
-        _write_csv(
-            out / "trace.csv",
-            ["iteration", "elapsed_s", "epsilon", "archive_size"],
-            [
-                [r["iteration"], r["elapsed_s"], r["epsilon"], r["archive_size"]]
-                for r in result.trace
-            ],
-        )
-        _write_json(
-            out / "manifest.json",
-            _manifest(
-                args,
-                command="explore",
-                evaluations=result.evaluations,
-                archive_size=len(entries),
-                wallclock_s=result.wallclock_s,
-            ),
-        )
+        columns = ["iteration", "elapsed_s", "epsilon", "archive_size"]
+        _write_csv(out / "trace.csv", columns, [[r[c] for c in columns] for r in result.trace])
+        _write_manifest(out, args, evaluations=result.evaluations,
+                        archive_size=len(entries), wallclock_s=result.wallclock_s)
     return EXIT_OK
 
 
@@ -206,7 +180,7 @@ def _cmd_compare(args) -> int:
                 },
             },
         )
-        _write_json(out / "manifest.json", _manifest(args, command="compare"))
+        _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -239,16 +213,9 @@ def _cmd_validate(args) -> int:
         )
     out = _out_dir(args)
     if out:
-        _write_csv(
-            out / "validation.csv",
-            ["kind", "id", "bound_ns", "worst_ns", "margin_ns", "samples"],
-            [
-                [r["kind"], r["id"], r["bound_ns"], r["worst_ns"],
-                 r["margin_ns"], r["samples"]]
-                for r in rows
-            ],
-        )
-        _write_json(out / "manifest.json", _manifest(args, command="validate"))
+        columns = ["kind", "id", "bound_ns", "worst_ns", "margin_ns", "samples"]
+        _write_csv(out / "validation.csv", columns, [[r[c] for c in columns] for r in rows])
+        _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -292,48 +259,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser(
-        "analyze", help="evaluate one explicit mapping against the timing model"
-    )
-    analyze.add_argument("--spec", required=True, help="problem JSON")
-    analyze.add_argument("--mapping", required=True, help="mapping JSON")
-    analyze.add_argument("--out-dir", type=_dir_name, default=None)
-    analyze.add_argument("--format", choices=("csv", "json"), default="csv")
+    # Options that several commands take, each declared once.
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True, help="problem JSON")
+    mapping = argparse.ArgumentParser(add_help=False)
+    mapping.add_argument("--mapping", required=True, help="mapping JSON")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--iterations", type=int, default=200)
+    budget.add_argument("--population", type=int, default=100)
+    budget.add_argument("--offspring", type=int, default=25)
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", type=_path, default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    analyze = sub.add_parser("analyze", parents=[spec, mapping, out_dir, fmt],
+                             help="evaluate one explicit mapping against the timing model")
     analyze.set_defaults(func=_cmd_analyze)
 
-    exp = sub.add_parser("explore", help="evolve mappings under one mode")
-    exp.add_argument("--spec", required=True)
+    exp = sub.add_parser("explore", parents=[spec, seed, budget, out_dir, fmt],
+                         help="evolve mappings under one mode")
     exp.add_argument("--mode", choices=MODS, default=ExplorationMode.ISOLATION_AWARE.value)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--iterations", type=int, default=200)
-    exp.add_argument("--population", type=int, default=100)
-    exp.add_argument("--offspring", type=int, default=25)
-    exp.add_argument("--out-dir", type=_dir_name, default=None)
-    exp.add_argument("--format", choices=("csv", "json"), default="csv")
     exp.set_defaults(func=_cmd_explore)
 
-    cmp_ = sub.add_parser(
-        "compare", help="score every mode against a shared reference front"
-    )
-    cmp_.add_argument("--spec", required=True)
-    cmp_.add_argument("--seed", type=int, default=0)
+    cmp_ = sub.add_parser("compare", parents=[spec, seed, budget, out_dir],
+                          help="score every mode against a shared reference front")
     cmp_.add_argument("--reps", type=int, default=5)
-    cmp_.add_argument("--iterations", type=int, default=200)
-    cmp_.add_argument("--population", type=int, default=100)
-    cmp_.add_argument("--offspring", type=int, default=25)
-    cmp_.add_argument("--out-dir", type=_dir_name, default=None)
     cmp_.set_defaults(func=_cmd_compare)
 
-    val = sub.add_parser(
-        "validate", help="stress a mapping's bounds with adversarial simulation"
-    )
-    val.add_argument("--spec", required=True)
-    val.add_argument("--mapping", required=True)
+    val = sub.add_parser("validate", parents=[spec, mapping, seed, out_dir],
+                         help="stress a mapping's bounds with adversarial simulation")
     val.add_argument("--trials", type=int, default=100)
-    val.add_argument("--seed", type=int, default=0)
     val.add_argument("--phantom-load", choices=PHANTOM_LOADS, default=None)
     val.add_argument("--jobs", type=int, default=2)
-    val.add_argument("--out-dir", type=_dir_name, default=None)
     val.add_argument(
         "--selftest-corrupt-bounds",
         action="store_true",
@@ -341,13 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     val.set_defaults(func=_cmd_validate)
 
-    gen = sub.add_parser("generate", help="emit a synthetic problem spec")
+    gen = sub.add_parser("generate", parents=[seed], help="emit a synthetic problem spec")
     gen.add_argument("--profile", choices=tuple(PROFILES), default="consumer")
     gen.add_argument("--mesh", default="4x4")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--tasks", type=int, default=None)
     gen.add_argument("--messages", type=int, default=None)
-    gen.add_argument("--out", default=None, help="output file (default stdout)")
+    gen.add_argument("--out", type=_path, default=None, help="output file (default stdout)")
     gen.set_defaults(func=_cmd_generate)
 
     return parser
@@ -365,10 +324,7 @@ def main(argv=None) -> int:
         print(f"no feasible mapping: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
     except (SpecError, DomainError, CapacityError, Infeasible, MissingCoefficient,
-            SimHorizonExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+            SimHorizonExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

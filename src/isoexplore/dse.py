@@ -273,14 +273,10 @@ def explore(
         raise DomainError(f"offspring must be >= 1, got {offspring}")
     rng = Random(derive_seed(seed, mode.value, "explore"))
     started = time.perf_counter()
-
-    def evaluate(genotypes: list[Genotype]) -> list[MappingResult]:
-        return [decode(spec, g, mode) for g in genotypes]
-
     archive = ParetoArchive()
     snapshots: list[tuple[int, float, list[Vector]]] = []
     genotypes = [random_genotype(spec, rng) for _ in range(population)]
-    pop = [_Individual(g, m) for g, m in zip(genotypes, evaluate(genotypes))]
+    pop = [_Individual(g, decode(spec, g, mode)) for g in genotypes]
     for ind in pop:
         archive.add(ind.mapping)
     _rank_population(pop)
@@ -294,7 +290,7 @@ def explore(
             )
             for _ in range(offspring)
         ]
-        results = evaluate(children)
+        results = [decode(spec, g, mode) for g in children]
         evaluations += len(children)
         for g, m in zip(children, results):
             pop.append(_Individual(g, m))

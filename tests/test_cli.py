@@ -1,15 +1,20 @@
 """End-to-end command-line behavior: files, stdout, exit codes."""
 
+import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoexplore import simoracle
-from isoexplore.cli import main
+from isoexplore.cli import build_parser, main
 from isoexplore.generator import generate_spec
 from isoexplore.model import emit_spec, parse_spec
 
@@ -599,18 +604,98 @@ def test_mutated_arguments_exit_with_a_typed_code(tmp_path, monkeypatch, capsys)
     check()
 
 
-@pytest.mark.parametrize("command", ["analyze", "explore", "compare", "validate"])
-def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
-    # An empty --out-dir would name the working directory.
+OUT_FLAGS = [("analyze", "--out-dir"), ("explore", "--out-dir"), ("compare", "--out-dir"),
+             ("validate", "--out-dir"), ("generate", "--out")]
+
+
+@pytest.mark.parametrize("command, flag", OUT_FLAGS, ids=[c for c, _ in OUT_FLAGS])
+def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                  command, flag):
+    # An empty path would name the working directory, or stdout for --out.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(bundled_text("specs", "join_two_tile.json"))
     (tmp_path / "mapping.json").write_text(
         bundled_text("mappings", "join_two_tile_shared.json"))
     argv = [command, *FUZZ_ARGS[command]]
-    argv[argv.index("--out-dir") + 1] = ""
+    argv[argv.index(flag) + 1] = ""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--out-dir" in err and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mapping.json", "spec.json"]
+
+
+# ------------------------------------------------------------------- parser
+
+
+MINIMAL_ARGS = {
+    "analyze": (["--spec", "spec.json", "--mapping", "mapping.json"],
+                {"spec": "spec.json", "mapping": "mapping.json", "out_dir": None,
+                 "format": "csv"}),
+    "explore": (["--spec", "spec.json"],
+                {"spec": "spec.json", "mode": "IsolationAware", "seed": 0,
+                 "iterations": 200, "population": 100, "offspring": 25,
+                 "out_dir": None, "format": "csv"}),
+    "compare": (["--spec", "spec.json"],
+                {"spec": "spec.json", "seed": 0, "reps": 5, "iterations": 200,
+                 "population": 100, "offspring": 25, "out_dir": None}),
+    "validate": (["--spec", "spec.json", "--mapping", "mapping.json"],
+                 {"spec": "spec.json", "mapping": "mapping.json", "trials": 100,
+                  "seed": 0, "phantom_load": None, "jobs": 2, "out_dir": None,
+                  "selftest_corrupt_bounds": False}),
+    "generate": ([], {"profile": "consumer", "mesh": "4x4", "seed": 0, "tasks": None,
+                      "messages": None, "out": None}),
+}
+OPTIONS = {
+    "analyze": ["--format", "--mapping", "--out-dir", "--spec"],
+    "explore": ["--format", "--iterations", "--mode", "--offspring", "--out-dir",
+                "--population", "--seed", "--spec"],
+    "compare": ["--iterations", "--offspring", "--out-dir", "--population", "--reps",
+                "--seed", "--spec"],
+    "validate": ["--jobs", "--mapping", "--out-dir", "--phantom-load", "--seed",
+                 "--selftest-corrupt-bounds", "--spec", "--trials"],
+    "generate": ["--mesh", "--messages", "--out", "--profile", "--seed", "--tasks"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGS))
+def test_parsed_arguments_and_options_are_pinned(command):
+    parser = build_parser()
+    argv, expected = MINIMAL_ARGS[command]
+    parsed = vars(parser.parse_args([command, *argv]))
+    del parsed["func"]
+    assert parsed == {"command": command, **expected}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert sorted(accepted - {"-h", "--help"}) == OPTIONS[command]
+
+
+# ------------------------------------------------------------------ process
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--profile", "networking", "--mesh", "2x2", "--seed", "3"], 0),
+    (["analyze", "--spec", "spec.json", "--mapping", "mapping.json", "--bogus"], 2),
+    (["analyze", "--spec", "spec.json", "--mapping", "overloaded.json"], 3),
+    (["validate", "--spec", "spec.json", "--mapping", "mapping.json", "--trials", "2",
+      "--selftest-corrupt-bounds"], 5),
+], ids=["generate", "unknown-flag", "infeasible", "bound-violated"])
+def test_process_exit_status(spec_path, mapping_path, bad_mapping_path, tmp_path,
+                             argv, code):
+    # The path fixtures write spec.json, mapping.json and overloaded.json.
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "isoexplore.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert len(parse_spec(proc.stdout).application.tasks) == 7
+    elif code == 2:
+        assert proc.stderr.startswith("usage:")
+        assert "unrecognized arguments: --bogus" in proc.stderr

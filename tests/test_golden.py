@@ -13,7 +13,7 @@ from isoexplore.generator import generate_spec
 from isoexplore.mapping import ExplorationMode, decode, from_bindings, random_genotype
 from isoexplore.model import emit_spec, parse_spec
 
-from conftest import tight_spec_text
+from conftest import bundled_text, tight_spec_text
 
 EXPLORE_ARCHIVE_SHA1 = "8db3bdc82625b6e064fe61ad33671a9ae5febe97"
 EXPLORE_TRACE_SHA1 = "ee8084cf887aa0cfdffc8614879d2ee86be51df5"
@@ -25,6 +25,16 @@ COMPARE_EPSILON = {
     "FixedTR": ["0.9125"],
 }
 TO_DOC_SHA1 = "af9b5ec4441fd128e5b17c327f5a8b396eb1122a"
+CLI_FILES_SHA1 = {
+    "analyze/analysis.json": "470faf96ab51420890e2393e26bc0d59b7a62cfb",
+    "analyze/manifest.json": "070906d1296375a2bdcf268ef3546f5edff039d0",
+    "analyze/timing.csv": "7ed45423fe717227c89ed2fd7c7d5540b454950e",
+    "compare/epsilon_table.csv": "a6e6d04b52f30c0d3b748100c998f269b0d25ab0",
+    "compare/fronts.json": "0295756965061aa2a0bc7d45e243859ae40eef2e",
+    "compare/manifest.json": "035143985fe63a176cce08ee25ad8b30bc897dd8",
+    "validate/manifest.json": "54527db3aa48ce495dbb323f26048baf1e7ab357",
+    "validate/validation.csv": "3a7a7fd7a1cb7cd9268c7be83f807a0b93226654",
+}
 
 
 def sha1(data: bytes) -> str:
@@ -44,6 +54,27 @@ def test_cli_explore_outputs_are_pinned(tmp_path, capsys):
     csv.writer(buf, lineterminator="\n").writerows(r[:1] + r[2:] for r in rows)
     assert sha1((out / "archive.json").read_bytes()) == EXPLORE_ARCHIVE_SHA1
     assert sha1(buf.getvalue().encode()) == EXPLORE_TRACE_SHA1
+
+
+def test_cli_files_are_pinned(tmp_path, monkeypatch, capsys):
+    # Relative paths, since every manifest records its arguments; no file
+    # written here holds a clock field.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(bundled_text("specs", "join_two_tile.json"))
+    (tmp_path / "mapping.json").write_text(
+        bundled_text("mappings", "join_two_tile_shared.json"))
+    given = ["--spec", "spec.json"]
+    assert main(["analyze", *given, "--mapping", "mapping.json",
+                 "--out-dir", "analyze"]) == 0
+    assert main(["validate", *given, "--mapping", "mapping.json", "--trials", "3",
+                 "--seed", "1", "--out-dir", "validate"]) == 0
+    assert main(["compare", *given, "--seed", "2", "--reps", "2", "--iterations", "2",
+                 "--population", "8", "--offspring", "4", "--out-dir", "compare"]) == 0
+    written = {
+        p.relative_to(tmp_path).as_posix(): sha1(p.read_bytes())
+        for p in tmp_path.glob("*/*")
+    }
+    assert written == CLI_FILES_SHA1
 
 
 def test_compare_fronts_and_epsilons_are_pinned():

@@ -419,7 +419,7 @@ def _build(
         result = MappingResult(*fields, reason=str(exc))
     else:
         reserved = (reserved_cores, reserved_tiles)
-        tuples = core, tx, rx, route, bus, *_ = scheduling.refine_tuples(
+        tuples = core, tx, rx, route, bus = scheduling.refine_tuples(
             spec, edges, transfers, task_weights, transfer_weights, reserved, loads)
 
         # Each bound term is kept in the spec's tables, keyed by the name of

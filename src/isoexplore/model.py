@@ -252,9 +252,9 @@ class Memory:
 
 
 def _check_tile_counts(tile_id: str, n_cores: int, n_memories: int,
-                       bus_master_weight: int, bus_capacity: int) -> None:
+                       bus_master_weight: int, capacity: int) -> None:
     """At least one core and one memory, and a bus cycle of
-    `bus_master_weight` slots per core, TX and RX."""
+    `bus_master_weight` slots per core, TX and RX in the bus `capacity`."""
     if n_cores < 1:
         raise ValidationError(f"tile {tile_id}: needs at least one core")
     if n_memories < 1:
@@ -262,9 +262,9 @@ def _check_tile_counts(tile_id: str, n_cores: int, n_memories: int,
     if bus_master_weight < 1:
         raise ValidationError(f"tile {tile_id}: bus_master_weight must be >= 1")
     expected = (n_cores + 2) * bus_master_weight
-    if bus_capacity != expected:
+    if capacity != expected:
         raise ValidationError(
-            f"tile {tile_id}: bus capacity {bus_capacity} does not "
+            f"tile {tile_id}: bus capacity {capacity} does not "
             f"cover its masters (cores + TX + RX = {expected} slots)"
         )
 

@@ -229,17 +229,13 @@ def check_feasibility(
 
 class TupleSet(NamedTuple):
     """All arbitration tuples of one feasible binding, after refinement:
-    the per-element tuples by position, the shared ones by resource id."""
+    the per-element tuples by position, the bus tuples by tile id."""
 
     core: list[ArbitrationTuple]                 # per task position
     tx: list[ArbitrationTuple]                   # per transfer position
     rx: list[ArbitrationTuple]                   # per transfer position
     route: list[ArbitrationTuple]                # per transfer position
     bus: dict[str, ArbitrationTuple]             # per hosting tile, any bus master
-    bus_capacity: dict[str, int]                 # effective, per hosting tile
-    core_capacity: dict[str, int]                # effective, per hosting core
-    tx_capacity: dict[str, int]                  # effective, per tile with outbound traffic
-    rx_capacity: dict[str, int]                  # effective, per tile with inbound traffic
 
 
 def refine_tuples(
@@ -269,8 +265,7 @@ def refine_tuples(
     # No stored tuple is falsy, so `tables.get(key) or` builds only on a miss.
     tables = spec.tables
     bus: dict[str, ArbitrationTuple] = {}
-    bus_caps: dict[str, int] = {}
-    core_caps: dict[str, int] = {}
+    core_caps: dict[str, int] = {}               # each hosting core's effective capacity
     core: list[ArbitrationTuple] = []
     for (core_id, tid, _, _, _, _, (bus_policy, core_policy, _), tile, _), w in zip(
             edges, task_weights):
@@ -281,7 +276,6 @@ def refine_tuples(
                 idle = len(tile.cores) - sum(map(core_loads.__contains__,
                                                  map(attrgetter("id"), tile.cores)))
                 k_bus -= idle * bmw
-            bus_caps[tid] = k_bus
             key = ("bus", tid, bmw, k_bus)
             bus[tid] = tables.get(key) or tables.setdefault(
                 key, make_tuple(bus_policy, bmw, k_bus))
@@ -295,8 +289,8 @@ def refine_tuples(
         core.append(tables.get(key) or tables.setdefault(
             key, make_tuple(core_policy, w, k_core)))
 
-    # Per adapter side: its tuple for each transfer, and its capacity per tile.
-    sides, caps = [], []
+    # Per adapter side: its tuple for each transfer.
+    sides = []
     for kind, end, policy_of, side_loads in (
             ("tx", 2, attrgetter("tx_policy"), tx_loads),
             ("rx", 3, attrgetter("rx_policy"), rx_loads)):
@@ -309,14 +303,13 @@ def refine_tuples(
                 policy = policy_of(edge.tile)
                 k_na = k_of[tid] = (reduce_capacity(policy, side_loads[tid])
                                     if tid in reserved_tiles else policy.capacity)
-            key = (kind, tid, w, k_na, bus_caps[tid])
+            key = (kind, tid, w, k_na, bus[tid].period)
             side.append(tables.get(key) or tables.setdefault(
                 key, make_tuple(policy_of(edge.tile), w, k_na, bus[tid].period)))
         sides.append(side)
-        caps.append(k_of)
     lp = spec.architecture.noc.link_policy
     route = []
     for w in transfer_weights:
         key = ("route", w)
         route.append(tables.get(key) or tables.setdefault(key, make_tuple(lp, w)))
-    return TupleSet(core, *sides, route, bus, bus_caps, core_caps, *caps)
+    return TupleSet(core, *sides, route, bus)

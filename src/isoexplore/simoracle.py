@@ -17,24 +17,31 @@ Supported platform family, validated up front:
   - every duration is a multiple of the link cycle, link arbitration
     carries no switch delay, so all events stay on the cycle grid,
   - message periods are multiples of their producer's period.
-While the tables are built, each one's capacity is checked against the
-trial's event cap before its entries are made: each slot is one table
-entry, and a table longer than the cap could not turn once within it.
-Tiles that host no task (and so carry no traffic) and links no transfer
-crosses get no table, so their capacities are not limited. Before any job
-is made, the trial counts the events it cannot do without (a release per
-job, a bus grant per word a job or an adapter moves, a link grant per
-flit and link) and raises SimHorizonExceeded if they exceed the cap.
+Each slot table is sized from the spec's policies and the mapping's
+reserved sets alone, so that a capacity reduction isolation does not allow
+is refuted, not replayed. A core that is reserved or on a reserved tile,
+and a TX or RX adapter on a reserved tile, keep only their owners' slots
+under a work-conserving policy; every other table keeps its policy's full
+capacity. A tile bus gives `bus_master_weight` slots to each core, TX and
+RX, but none to an idle core of a reserved tile whose bus is
+work-conserving, and must agree with the decode's bus tuple. Each table's
+size is checked against the trial's event cap before its entries are made:
+each slot is one table entry, and a table longer than the cap could not
+turn once within it. Tiles that host no task (and so carry no traffic) and
+links no transfer crosses get no table, so their capacities are not
+limited. Before any job is made, the trial counts the events it cannot do
+without (a release per job, a bus grant per word a job or an adapter
+moves, a link grant per flit and link) and raises SimHorizonExceeded if
+they exceed the cap.
 
 Each slot-table entry is an owner object: a queue of jobs, stalled memory
 words, packets or flits; a TX or RX adapter, which holds the bus while one
 of its windows is open; or a phantom. Adversaries ("phantoms") own exactly
-the slots the mapping left free; reserved tiles and exclusively allocated
-cores have none, and a reserved tile's unused bus slots belong to owners
-whose queue stays empty. While a shared arbiter has no real work pending,
-its rotation is not simulated; on wake the pointer position is
-adversary-chosen. Both are behaviours a real background owner could
-produce, so observed times stay genuine.
+the slots the mapping left free; on a reserved tile, the bus slots kept for
+an idle core or adapter belong to owners whose queue stays empty. While a
+shared arbiter has no real work pending, its rotation is not simulated; on
+wake the pointer position is adversary-chosen. Both are behaviours a real
+background owner could produce, so observed times stay genuine.
 
 Every slot grant, a phantom's included, is one event: one call of the
 arbiter's tick, which tests the next slots inline and pushes its own next
@@ -465,17 +472,21 @@ class _Sim:
             self.eng, self.rng, slots, slot_len, delay, work_conserving, grant,
             self.cfg.phantom_load, grant_phantoms))
 
-    def _sized(self, capacity: int, what: str) -> int:
-        """`capacity`, once a slot table that long fits in the event cap."""
-        _require(capacity <= self.cfg.max_events,
-                 f"{what} capacity {capacity} exceeds the event cap {self.cfg.max_events}")
-        return capacity
-
-    def _fill(self, slots: list, capacity: int) -> list:
-        free = capacity - len(slots)
-        if free < 0:
+    def _table(self, shares: list, policy, exclusive: bool, what: str) -> list:
+        """One arbiter's slot table: each (owner, weight) of `shares` owns that
+        many slots in turn, then a phantom owns each free slot of `policy`'s
+        capacity, which an `exclusive` work-conserving table does not keep.
+        The size is checked against the event cap before any entry is made."""
+        used = sum(w for _, w in shares)
+        size = used if exclusive and policy.work_conserving else policy.capacity
+        _require(size <= self.cfg.max_events,
+                 f"{what} capacity {size} exceeds the event cap {self.cfg.max_events}")
+        if used > size:
             raise DomainError("slot table exceeds its arbiter capacity")
-        return slots + [_Phantom() for _ in range(free)]
+        table = []
+        for owner, w in shares:
+            table += [owner] * w
+        return table + [_Phantom() for _ in range(size - used)]
 
     def _build(self) -> None:
         arch, mp = self.arch, self.mapping
@@ -487,73 +498,69 @@ class _Sim:
                   for m, _, _, _, links, _, flits in mp.transfers]
         self.routes.update(zip(map(itemgetter(1), mp.transfers), routes))
 
-        for tile, _, outbound, inbound in mp.placement.tiles:
+        for tile, hosting, outbound, inbound in mp.placement.tiles:
             reserved = tile.id in mp.reserved_tiles
+            bus = tuples.bus[tile.id]
 
             # adapter units: slot spans one refined bus arbitration period.
             # Without traffic, the adapter's bus slots are inert on a
             # reserved tile and background load on a shared one.
             adapters = []
-            for side, traffic, pol_u, caps, step in (
-                (0, outbound, tile.tx_policy, tuples.tx_capacity, self._inject),
-                (2, inbound, tile.rx_policy, tuples.rx_capacity, self._delivered),
+            for side, kind, traffic, pol_u, step in (
+                (0, "tx", outbound, tile.tx_policy, self._inject),
+                (2, "rx", inbound, tile.rx_policy, self._delivered),
             ):
                 if not traffic:
                     adapters.append(_Owner() if reserved else _Phantom())
                     continue
                 unit = _Unit(step)
                 adapters.append(unit)
-                cap = self._sized(caps[tile.id], f"{tile.id} {'tx' if side == 0 else 'rx'}")
-                flows = [routes[i][side] for i in traffic
-                         for _ in range(tuples.route[i].weight)]
-                self._arbiter(self._fill(flows, cap), tuples.bus[tile.id].period,
-                              pol_u.arb_delay, pol_u.work_conserving, unit.grant,
-                              grant_phantoms=True)
+                flows = [(routes[i][side], tuples.route[i].weight) for i in traffic]
+                self._arbiter(
+                    self._table(flows, pol_u, reserved, f"{tile.id} {kind}"),
+                    bus.period, pol_u.arb_delay, pol_u.work_conserving, unit.grant,
+                    grant_phantoms=True)
 
-            # tile bus: per-core masters, then TX, then RX. Idle-core slots
-            # on reserved tiles either vanish (work-conserving) or stay as
-            # inert owners; adversaries exist on shared tiles only. Each
-            # hosting core gets its own table of its tasks' job queues.
-            w = tile.bus_master_weight
-            self._sized(tuples.bus_capacity[tile.id], f"{tile.id} bus")
-            table = []
-            for core in tile.cores:
-                if core.id in tasks_on_core:
-                    words = _Owner()
-                    table += [words] * w
-                    cap = self._sized(tuples.core_capacity[core.id], f"{core.id} core")
-                    own = []
-                    for t in tasks_on_core[core.id]:
-                        jobs = _Owner()
-                        self.masters[t] = (jobs, words)
-                        own += [jobs] * tuples.core[tasks[t]].weight
-                    pol = core.policy
-                    self._arbiter(self._fill(own, cap), pol.slot_len, pol.arb_delay,
-                                  pol.work_conserving, self._core_grant)
-                elif reserved:
-                    if not tile.bus_policy.work_conserving:
-                        table += [_Owner()] * w
-                else:
-                    table += [_Phantom()] * w
-            for owner in adapters:
-                table += [owner] * w
-            if len(table) != tuples.bus_capacity[tile.id]:
-                raise DomainError("bus table does not match the refined capacity")
+            # tile bus: per-core masters, then TX, then RX, each with its
+            # weight of slots and none free. Idle-core slots on reserved
+            # tiles either vanish (work-conserving) or stay as inert owners;
+            # adversaries exist on shared tiles only.
             pol = tile.bus_policy
+            words = {core.id: _Owner() for core in hosting}
+            masters = [words[c.id] if c.id in words else _Owner() if reserved else _Phantom()
+                       for c in tile.cores
+                       if c.id in words or not (reserved and pol.work_conserving)]
+            w = tile.bus_master_weight
+            table = self._table([(o, w) for o in masters + adapters], pol, True,
+                                f"{tile.id} bus")
+            if len(table) * (pol.slot_len + pol.arb_delay + tile.memory.service_time) \
+                    != bus.period:
+                raise DomainError("bus table does not match the refined bus tuple")
+            # each hosting core: its own table of its tasks' job queues
+            for core in hosting:
+                own = []
+                for t in tasks_on_core[core.id]:
+                    jobs = _Owner()
+                    self.masters[t] = (jobs, words[core.id])
+                    own.append((jobs, tuples.core[tasks[t]].weight))
+                pol_c = core.policy
+                exclusive = reserved or core.id in mp.reserved_cores
+                self._arbiter(self._table(own, pol_c, exclusive, f"{core.id} core"),
+                              pol_c.slot_len, pol_c.arb_delay, pol_c.work_conserving,
+                              self._core_grant)
             self._arbiter(table, pol.slot_len, pol.arb_delay, pol.work_conserving,
                           self._bus_grant)
 
         # mesh links: one flit per cycle to the granted flow
         lp = arch.noc.link_policy
-        if any(links for *_, links, _, _ in mp.transfers):
-            self._sized(lp.capacity, "link")
-        flows_on_link: dict[str, list[_Owner]] = {}
+        flows_on_link: dict[str, list] = {}
         for (*_, links, _, _), (_, owners, *_), r in zip(mp.transfers, routes, tuples.route):
             for link, owner in zip(links, owners):
-                flows_on_link.setdefault(link, []).extend([owner] * r.weight)
+                flows_on_link.setdefault(link, []).append((owner, r.weight))
         for flows in flows_on_link.values():
-            self._arbiter(self._fill(flows, lp.capacity), self.tau, 0,
+            self._arbiter(self._table(flows, lp, False, "link"), self.tau, 0,
                           lp.work_conserving, self._link_grant)
+
     # -- job lifecycle
 
     def _release_jobs(self) -> None:

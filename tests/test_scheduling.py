@@ -315,13 +315,16 @@ def refined(spec, a=CS, b=CS):
 
 
 def test_refine_defaults_keep_full_capacity():
+    # Each capacity is read off its tuple's period: one slot of a bus
+    # master spans 105 ns, and one TX or RX slot a 420 ns bus period.
     spec = make_spec()
     ts = refined(spec)
-    assert ts.bus_capacity == {"t0": 4, "t1": 4}
-    assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
-    assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
-    assert ts.bus == {"t0": ArbitrationTuple(100, 1, 420), "t1": ArbitrationTuple(100, 1, 420)}
     core = extended_core_policy(spec.architecture.tile("t0"))
+    span = core.slot_len + core.arb_delay
+    assert {t: b.period for t, b in ts.bus.items()} == {"t0": 4 * 105, "t1": 4 * 105}
+    assert [c.period for c in ts.core] == [5 * span, 5 * span]      # t0.c0, t1.c1
+    assert (ts.tx[0].period, ts.rx[0].period) == (4 * 420, 4 * 420)
+    assert ts.bus == {"t0": ArbitrationTuple(100, 1, 420), "t1": ArbitrationTuple(100, 1, 420)}
     assert ts.core[0] == ArbitrationTuple(
         core.slot_len, 2, 5 * (core.slot_len + core.arb_delay))
     # Adapter slots equal the extended bus period of their side.
@@ -334,26 +337,24 @@ def test_refine_exclusive_core_shrinks_cycle():
     spec = make_spec()
     ts = refined(spec, a=CR)
     core = extended_core_policy(spec.architecture.tile("t0"))
-    assert ts.core_capacity["t0.c0"] == 2
-    assert ts.core[0].period == 2 * (core.slot_len + core.arb_delay)
+    span = core.slot_len + core.arb_delay
+    assert ts.core[0].period == 2 * span
     a = ts.core[0]
     assert a.period - a.weight * a.slot_len == 2 * core.arb_delay  # only the handoffs
-    assert ts.core_capacity["t1.c1"] == 5   # untouched elsewhere
-    assert (ts.bus_capacity, ts.tx_capacity) == ({"t0": 4, "t1": 4}, {"t0": 4})
+    assert ts.core[1].period == 5 * span   # untouched elsewhere
+    assert {t: b.period for t, b in ts.bus.items()} == {"t0": 4 * 105, "t1": 4 * 105}
+    assert ts.tx[0].period == 4 * 420
 
 
 def test_refine_reserved_tile_drops_idle_bus_slots():
     spec = make_spec()
     ts = refined(spec, a=TR)
     # One of two cores hosts nothing: one master slot leaves the cycle.
-    assert ts.bus_capacity["t0"] == 3
     assert ts.bus["t0"].period == 3 * 105
     # TX cycle shrinks to allocated traffic; slots follow the shorter bus.
-    assert ts.tx_capacity["t0"] == 1
-    assert ts.tx[0] == ArbitrationTuple(315, 1, 315)
+    assert ts.tx[0] == ArbitrationTuple(315, 1, 1 * 315)
     # Destination tile is untouched.
-    assert ts.bus_capacity["t1"] == 4
-    assert ts.rx_capacity["t1"] == 4
+    assert ts.bus["t1"].period == 4 * 105
     assert ts.rx[0].period == 4 * 420
 
 
@@ -366,9 +367,10 @@ def test_refine_never_shrinks_links():
 def test_refine_ignores_reductions_without_work_conservation():
     spec = make_spec(work_conserving=False)
     ts = refined(spec, a=TR, b=TR)
-    assert ts.bus_capacity == {"t0": 4, "t1": 4}
-    assert ts.core_capacity == {"t0.c0": 5, "t1.c1": 5}
-    assert (ts.tx_capacity, ts.rx_capacity) == ({"t0": 4}, {"t1": 4})
+    core = extended_core_policy(spec.architecture.tile("t0"))
+    span = core.slot_len + core.arb_delay
+    assert {t: b.period for t, b in ts.bus.items()} == {"t0": 4 * 105, "t1": 4 * 105}
+    assert [c.period for c in ts.core] == [5 * span, 5 * span]      # t0.c0, t1.c1
     assert ts.tx[0].period == 4 * 420
     assert ts.rx[0].period == 4 * 420
 

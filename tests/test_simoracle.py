@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from isoexplore import generate_spec
+from isoexplore import generate_spec, scheduling
 from isoexplore.errors import BoundViolation, DomainError, SimHorizonExceeded
 from isoexplore.mapping import ExplorationMode, decode, from_bindings, random_genotype
 from isoexplore.model import emit_spec, parse_spec
@@ -405,6 +405,29 @@ def test_sweep_bounds_hold_on_random_mappings(small_mesh_spec):
         checked += 1
         sweep = adversarial_sweep(small_mesh_spec, res, trials=4, seed=checked)
         assert all(row["margin_ns"] >= 0 for row in sweep.rows())
+
+
+def test_sweep_refutes_a_reduction_the_isolation_scheme_forbids(monkeypatch):
+    # A planted fault: refinement shrinks every hosting core's cycle as if
+    # the core were reserved. The simulator sizes its tables from the spec
+    # and the mapping's own reserved sets, so it keeps the phantoms that the
+    # shrunk bounds leave out, and a trial exceeds one of them. The spec is
+    # fresh, since the faulty tuples stay in its tables.
+    refine = scheduling.refine_tuples
+
+    def every_core_reserved(spec, edges, transfers, task_weights, transfer_weights,
+                            reserved, loads):
+        return refine(spec, edges, transfers, task_weights, transfer_weights,
+                      ({e.core_id for e in edges}, reserved[1]), loads)
+
+    monkeypatch.setattr(scheduling, "refine_tuples", every_core_reserved)
+    spec = generate_spec("networking", (2, 2), 3)
+    rng = Random(0)
+    res = decode(spec, random_genotype(spec, rng))
+    while not res.feasible:
+        res = decode(spec, random_genotype(spec, rng))
+    with pytest.raises(BoundViolation, match="exceeds bound"):
+        adversarial_sweep(spec, res, trials=4, seed=3)
 
 
 def test_sweep_accepts_fixed_phantom_load(two_tile_spec, two_tile_shared):
